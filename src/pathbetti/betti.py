@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .complexes import SizeCapError
 from .graphs import Graph, induced_subgraph
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, path_ideal, taylor_strict_sub
@@ -60,12 +61,15 @@ def multigraded_betti(
 
     Off the lcm lattice the answer is {} without any homology work; on it
     b_{i,m} is the homology dimension of the strict Taylor subcomplex in
-    degree i-2.
+    degree i-2.  A SizeCapError raised on the way names the multidegree.
     """
     ms = frozenset(m)
     if not is_lcm_closed(I, ms):
         return {}
-    profile = reduced_homology_dims(taylor_strict_sub(I, ms), p_field)
+    try:
+        profile = reduced_homology_dims(taylor_strict_sub(I, ms), p_field)
+    except SizeCapError as exc:
+        raise SizeCapError(f"multidegree {','.join(map(str, sorted(ms)))}: {exc}") from exc
     return {p + 2: d for p, d in profile.dims}
 
 

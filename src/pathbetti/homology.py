@@ -9,15 +9,21 @@ complex with n_p faces of dimension p,
 where d_p is the boundary map from p-chains to (p-1)-chains.  The void
 complex has trivial homology everywhere; the irrelevant complex has a
 single dimension 1 in degree -1.
+
+All ranks come from one sparse column reduction over GF(p), with p = 2 an
+ordinary prime.  ``reduced_homology_dims`` reduces the boundary columns
+of a complex top dimension first and skips ("clears") every p-face that
+was a pivot row of d_{p+1}: such a column is a combination of earlier
+columns because d_p d_{p+1} = 0, so the rank does not change (Chen and
+Kerber, "Persistent homology computation with a twist", 2011).  Size caps
+are checked from the face counts before any reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Mapping
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from .complexes import DEFAULT_FACE_CAP, Face, SimplicialComplex, SizeCapError, faces_by_dim
 
@@ -42,14 +48,19 @@ def validate_prime(p: int) -> int:
     return p
 
 
+def _check_matrix_cap(name: str, nrows: int, ncols: int) -> None:
+    if nrows * ncols > MATRIX_ENTRY_CAP:
+        raise SizeCapError(f"{name} ({nrows}x{ncols}) exceeds the {MATRIX_ENTRY_CAP} entry cap")
+
+
 class PrimeFieldMatrix:
     """Sparse integer matrix over GF(prime) with a deterministic rank.
 
     Entries are stored as a dict keyed by (row, col); values are reduced
-    mod prime and zeros are dropped.  Rank runs by Gaussian elimination
-    with partial pivoting in fixed column order: a packed-bitset XOR sweep
-    for prime 2, dense int64 row reduction otherwise.  Matrices larger
-    than MATRIX_ENTRY_CAP entries are rejected.
+    mod prime and zeros are dropped.  ``rank`` groups the entries into
+    columns and runs the module's one sparse column reduction.  Matrices
+    with more than MATRIX_ENTRY_CAP cells are rejected by ``rank`` and
+    ``to_dense``.
     """
 
     __slots__ = ("nrows", "ncols", "prime", "entries")
@@ -67,76 +78,62 @@ class PrimeFieldMatrix:
                 cleaned[(r, c)] = v
         self.entries = cleaned
 
-    def _check_cap(self) -> None:
-        if self.nrows * self.ncols > MATRIX_ENTRY_CAP:
-            raise SizeCapError(
-                f"boundary matrix with {self.nrows}x{self.ncols} entries exceeds the cap"
-            )
+    def to_dense(self):
+        """The matrix as a numpy int64 array (numpy is imported on first use)."""
+        import numpy as np
 
-    def to_dense(self) -> np.ndarray:
-        self._check_cap()
+        _check_matrix_cap("matrix", self.nrows, self.ncols)
         A = np.zeros((self.nrows, self.ncols), dtype=np.int64)
         for (r, c), v in self.entries.items():
             A[r, c] = v
         return A
 
     def rank(self) -> int:
-        if not self.entries or self.nrows == 0 or self.ncols == 0:
+        if not self.entries:
             return 0
-        self._check_cap()
-        if self.prime == 2:
-            return _rank_gf2(self)
-        return _rank_modp(self.to_dense(), self.prime)
+        _check_matrix_cap("matrix", self.nrows, self.ncols)
+        columns: dict[int, dict[int, int]] = {}
+        for (r, c), v in self.entries.items():
+            columns.setdefault(c, {})[r] = v
+        return len(_reduce_columns((columns[c] for c in sorted(columns)), self.prime))
 
 
-def _rank_gf2(M: PrimeFieldMatrix) -> int:
-    nwords = (M.ncols + 63) // 64
-    rows = np.zeros((M.nrows, nwords), dtype=np.uint64)
-    for (r, c), _ in M.entries.items():
-        rows[r, c >> 6] |= np.uint64(1 << (c & 63))
-    rank = 0
-    for col in range(M.ncols):
-        w, b = col >> 6, col & 63
-        colbits = (rows[rank:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.flatnonzero(colbits)
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            rows[[rank, piv]] = rows[[piv, rank]]
-        below = rank + 1 + np.flatnonzero((rows[rank + 1:, w] >> np.uint64(b)) & np.uint64(1))
-        if below.size:
-            rows[below] ^= rows[rank]
-        rank += 1
-        if rank == M.nrows:
-            break
-    return rank
+def _reduce_columns(columns: Iterable[dict[int, int]], prime: int) -> dict[int, dict[int, int]]:
+    """Column reduction over GF(prime), left to right.
+
+    Each column maps row -> nonzero value and is consumed.  Its pivot is
+    its largest row.  A column whose pivot is taken is reduced by the
+    stored column there until it vanishes or reaches a free pivot, where it
+    is stored scaled to a pivot entry of 1.  Returns pivot row -> stored
+    column; the number of pivots is the rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            stored = pivots.get(low)
+            if stored is None:
+                if col[low] != 1:
+                    inv = pow(col[low], prime - 2, prime)
+                    col = {r: v * inv % prime for r, v in col.items()}
+                pivots[low] = col
+                break
+            f = col[low]
+            for r, v in stored.items():
+                x = (col.get(r, 0) - f * v) % prime
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return pivots
 
 
-def _rank_modp(A: np.ndarray, p: int) -> int:
-    # entries stay below p, so products fit comfortably in int64
-    nrows, ncols = A.shape
-    rank = 0
-    for col in range(ncols):
-        colvals = A[rank:, col]
-        nz = np.flatnonzero(colvals)
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank, col:] = (A[rank, col:] * inv) % p
-        factors = A[rank + 1:, col]
-        hit = np.flatnonzero(factors)
-        if hit.size:
-            sub = A[rank + 1 + hit, col:]
-            sub = (sub - np.outer(factors[hit], A[rank, col:])) % p
-            A[rank + 1 + hit, col:] = sub
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _boundary_column(face: Face, row_index: Mapping[Face, int], prime: int) -> dict[int, int]:
+    # the facet without vertex k enters with sign (-1)^k
+    return {
+        row_index[face[:k] + face[k + 1:]]: 1 if k % 2 == 0 else prime - 1
+        for k in range(len(face))
+    }
 
 
 def boundary_matrix(
@@ -156,12 +153,11 @@ def boundary_matrix(
     rows = faces.get(p - 1, [])
     cols = faces.get(p, [])
     row_index = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, face in enumerate(cols):
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            sign = 1 if k % 2 == 0 else prime - 1
-            entries[(row_index[sub], j)] = sign
+    entries = {
+        (r, j): v
+        for j, face in enumerate(cols)
+        for r, v in _boundary_column(face, row_index, prime).items()
+    }
     return PrimeFieldMatrix(len(rows), len(cols), prime, entries)
 
 
@@ -198,19 +194,32 @@ def reduced_homology_dims(
     """Reduced homology dimensions of K over GF(p_field), all degrees.
 
     Degrees run from -1 through the dimension of K; everything outside
-    that range is zero and omitted from the profile.
+    that range is zero and omitted from the profile.  Raises SizeCapError
+    when K has more than ``cap`` faces or one of its boundary matrices has
+    more than MATRIX_ENTRY_CAP cells, before any reduction starts.
     """
     validate_prime(p_field)
     if K.is_void:
         return HomologyProfile(prime=p_field, dims=())
     faces = faces_by_dim(K, cap=cap)
     top = max(faces)
-    ranks: dict[int, int] = {}
     for p in range(0, top + 1):
-        ranks[p] = boundary_matrix(K, p, p_field, faces).rank()
+        _check_matrix_cap(f"boundary matrix of dimension {p}", len(faces[p - 1]), len(faces[p]))
+    ranks: dict[int, int] = {}
+    cleared: Mapping[int, object] = {}
+    for p in range(top, -1, -1):
+        row_index = {f: i for i, f in enumerate(faces[p - 1])}
+        pivots = _reduce_columns(
+            (_boundary_column(f, row_index, p_field) for j, f in enumerate(faces[p]) if j not in cleared),
+            p_field,
+        )
+        ranks[p] = len(pivots)
+        # a pivot row of d_p is a (p-1)-face whose boundary column in
+        # d_{p-1} is a combination of earlier columns, since d_{p-1} d_p = 0
+        cleared = pivots
     dims = []
     for p in range(-1, top + 1):
-        d = len(faces.get(p, ())) - ranks.get(p, 0) - ranks.get(p + 1, 0)
+        d = len(faces[p]) - ranks.get(p, 0) - ranks.get(p + 1, 0)
         if d:
             dims.append((p, d))
     return HomologyProfile(prime=p_field, dims=tuple(dims))

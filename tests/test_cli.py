@@ -195,6 +195,8 @@ def test_size_cap_exit(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "betti", "--edges", str(k7), "--t", "2")
     assert rc == EXIT_SIZE
     assert "cap" in err
+    # the walk reaches the full support, whose complex is over the face cap
+    assert "multidegree 1,2,3,4,5,6,7:" in err
 
 
 def test_prime_flag(capsys):

@@ -17,6 +17,7 @@ from pathbetti import (
     boundary_matrix,
     cone,
     enumerate_faces,
+    homology,
     intersection,
     is_cone,
     make_complex,
@@ -26,7 +27,6 @@ from pathbetti import (
     union,
     validate_prime,
 )
-from pathbetti.homology import _rank_gf2, _rank_modp
 
 facet_families = st.lists(
     st.lists(st.integers(min_value=0, max_value=6), max_size=4),
@@ -144,15 +144,41 @@ def test_rank_basics():
     assert PrimeFieldMatrix(2, 2, 7, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1}).rank() == 2
 
 
-def test_rank_backends_agree_mod_2():
+def dense_rank(rows: list[list[int]], prime: int) -> int:
+    """Reference rank over GF(prime) by textbook row reduction."""
+    A = [[v % prime for v in row] for row in rows]
+    rank = 0
+    for col in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][col], prime - 2, prime)
+        A[rank] = [v * inv % prime for v in A[rank]]
+        for i in range(len(A)):
+            if i != rank and A[i][col]:
+                f = A[i][col]
+                A[i] = [(a - f * b) % prime for a, b in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_dense_reference():
     rng = random.Random(17)
-    for _ in range(40):
-        r, c = rng.randint(1, 12), rng.randint(1, 12)
-        entries = {
-            (i, j): 1 for i in range(r) for j in range(c) if rng.random() < 0.4
-        }
-        M = PrimeFieldMatrix(r, c, 2, entries)
-        assert _rank_gf2(M) == _rank_modp(M.to_dense(), 2)
+    for prime in (2, 3, DEFAULT_PRIME):
+        for _ in range(40):
+            r, c = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice((0.2, 0.4, 0.7))
+            rows = [
+                [rng.randrange(-3 * prime, 3 * prime) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)
+            ]
+            if rng.random() < 0.5 and r > 2:
+                # a row combination keeps the rank below full
+                k = rng.randrange(1, prime)
+                rows[-1] = [a + k * b for a, b in zip(rows[0], rows[1])]
+            entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+            assert PrimeFieldMatrix(r, c, prime, entries).rank() == dense_rank(rows, prime)
 
 
 def test_rank_equals_transpose_rank():
@@ -218,10 +244,39 @@ def test_face_count_cap():
         reduced_homology_dims(boundary_complex(4), cap=3)
 
 
-def test_matrix_entry_cap():
+def test_matrix_entry_cap(monkeypatch):
     M = PrimeFieldMatrix(6000, 6000, 32003, {(0, 0): 1})
     with pytest.raises(SizeCapError):
         M.rank()
+
+    def no_reduction(*args):
+        raise AssertionError("reduction ran before the matrix cap was checked")
+
+    # boundary_complex(6) has 1, 6, 15, 20, 15, 6 faces by dimension; the
+    # 15x20 matrix of d_2 trips a 100-cell cap, while d_4 (15x6) would pass
+    monkeypatch.setattr(homology, "MATRIX_ENTRY_CAP", 100)
+    monkeypatch.setattr(homology, "_reduce_columns", no_reduction)
+    with pytest.raises(SizeCapError, match=r"dimension 2 \(15x20\)"):
+        reduced_homology_dims(boundary_complex(6))
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_clearing_matches_full_ranks(prime):
+    # reduced_homology_dims skips cleared columns; boundary_matrix().rank()
+    # reduces every column of each d_p on its own
+    rng = random.Random(23)
+    for _ in range(60):
+        K = random_complex(rng, max_vertices=8, max_facets=6)
+        if K.is_void:
+            continue
+        top = max(len(f) for f in K.facets) - 1
+        ranks = {p: boundary_matrix(K, p, prime).rank() for p in range(0, top + 2)}
+        want = {}
+        for p in range(-1, top + 1):
+            d = len(enumerate_faces(K, p)) - ranks.get(p, 0) - ranks[p + 1]
+            if d:
+                want[p] = d
+        assert reduced_homology_dims(K, prime).as_dict() == want
 
 
 def test_zero_row_zero_col_matrices():
