@@ -2,10 +2,15 @@
 
 The multigraded number b_{i,m} is the reduced homology dimension of the
 strict Taylor subcomplex in degree i-2, computed only on multidegrees in
-the lcm lattice (everything else vanishes).  Graded tables sum the
-multigraded values over all vertex subsets of a fixed size; the chosen
-field characteristic does not change any table in this package's scope,
-which the test suite checks rather than assumes.
+the lcm lattice (everything else vanishes).  Graded tables are built by a
+factorized walk that rests on the restriction and product rule: b_{·,W}
+depends only on G_W and is the convolution of the top vectors of the
+components of G_W.  So the table of G is the product of the tables of its
+components, and within one component homology runs only on connected
+lcm-closed supports, each once.  multigraded_record keeps the direct walk
+over every subset.  The chosen field characteristic does not change any
+table in this package's scope, which the test suite checks rather than
+assumes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import SizeCapError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, components_within, connected_components, induced_subgraph
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, path_ideal, taylor_strict_sub
 
@@ -89,11 +94,11 @@ def multigraded_record(
 
 
 class IsoMemo:
-    """Cache of multigraded vectors keyed by the isomorphism class of G_W.
+    """Cache of top vectors keyed by the isomorphism class of a graph.
 
-    Cheap invariants (order, size, degree multiset, component orders)
-    bucket the candidates; an exact isomorphism check guards every reuse,
-    so a hash collision can never corrupt a table.
+    Cheap invariants (order, size, degree multiset) bucket the candidates;
+    an exact isomorphism check guards every reuse, so a hash collision can
+    never corrupt a table.
     """
 
     def __init__(self) -> None:
@@ -102,12 +107,9 @@ class IsoMemo:
 
     @staticmethod
     def _invariant(G: Graph) -> tuple:
-        from .graphs import connected_components
-
         adj = G.adjacency()
         degrees = tuple(sorted(len(adj[v]) for v in G.vertices))
-        comps = tuple(sorted(len(c) for c in connected_components(G)))
-        return (G.n, len(G.edges), degrees, comps)
+        return (G.n, len(G.edges), degrees)
 
     @staticmethod
     def _to_nx(G: Graph):
@@ -137,36 +139,65 @@ def graded_betti_table(
     p_field: int = DEFAULT_PRIME,
     use_memo: bool = False,
 ) -> BettiTable:
-    """Betti table of S/I_t(G) by summing multigraded values over subsets.
+    """Betti table of S/I_t(G) by a walk factorized over components.
 
-    Only subsets of the lcm support can contribute, and within those only
-    the lcm-closed ones reach the homology engine.  With use_memo the
-    multigraded vector is cached per isomorphism class of the induced
-    subgraph, which is sound because the vector depends on nothing else.
+    The table is the product, as a polynomial in (i, j), of the tables of
+    the components of G; a component without a t-path contributes the
+    unit.  A component's table sums b_{i,W} over its lcm-closed subsets W,
+    and b_{·,W} is the convolution of the top vectors of the components C
+    of G_W.  Each C is lcm-closed (a t-path inside W is connected), and
+    its top vector is computed once per vertex set.  With use_memo a top
+    vector missing from that cache is looked up by the isomorphism class
+    of G_C before any homology runs.
     """
     if t < 1:
         raise ValueError("need t >= 1")
     validate_prime(p_field)
-    I = path_ideal(G, t)
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    support = sorted(ideal_lcm(I))
+    adj = G.adjacency()
     memo = IsoMemo() if use_memo else None
-    for size in range(1, len(support) + 1):
-        for sub in combinations(support, size):
-            w = frozenset(sub)
-            if not is_lcm_closed(I, w):
-                continue
-            if memo is not None:
-                gw = induced_subgraph(G, w)
-                vec = memo.lookup(gw)
-                if vec is None:
-                    vec = multigraded_betti(I, w, p_field)
-                    memo.store(gw, vec)
+    tops: dict[frozenset[int], dict[int, int]] = {}
+
+    def top_vector(I: MonomialIdeal, C: frozenset[int]) -> dict[int, int]:
+        if C not in tops:
+            if memo is None:
+                tops[C] = multigraded_betti(I, C, p_field)
             else:
-                vec = multigraded_betti(I, w, p_field)
-            for i, b in vec.items():
-                table[(i, size)] = table.get((i, size), 0) + b
+                gc = induced_subgraph(G, C)
+                vec = memo.lookup(gc)
+                if vec is None:
+                    vec = multigraded_betti(I, C, p_field)
+                    memo.store(gc, vec)
+                tops[C] = vec
+        return tops[C]
+
+    table: dict[tuple[int, int], int] = {(0, 0): 1}
+    for comp in connected_components(G):
+        if len(comp) < t:
+            continue
+        I = path_ideal(induced_subgraph(G, comp), t)
+        support = sorted(ideal_lcm(I))
+        part: dict[tuple[int, int], int] = {(0, 0): 1}
+        for size in range(t, len(support) + 1):
+            for sub in combinations(support, size):
+                w = frozenset(sub)
+                if not is_lcm_closed(I, w):
+                    continue
+                vec = top_betti_product([top_vector(I, C) for C in components_within(adj, w)])
+                for i, b in vec.items():
+                    part[(i, size)] = part.get((i, size), 0) + b
+        table = _table_product(table, part)
     return BettiTable.from_dict(len(G.vertices), table)
+
+
+def _table_product(
+    a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """Product of two Betti tables as polynomials in (i, j)."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
+    return out
 
 
 def top_betti_product(vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:

@@ -12,6 +12,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 _FAMILIES = ("line", "cycle", "star")
 
+# Largest vertex count accepted from an explicit edge list, checked before
+# anything is built: the oracle loops over every component, isolated
+# vertices included, so n bounds its work even for an empty edge list.
+MAX_VERTICES = 1 << 12
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -72,10 +77,13 @@ def graph_from_edges(n: int, edge_list: Sequence[Sequence[int]]) -> Graph:
     """Graph on vertices 1..n from an explicit edge list.
 
     Loops and endpoints outside 1..n are rejected with the offending pair
-    named.  Duplicate edges and either endpoint order are accepted.
+    named, and so is n above MAX_VERTICES.  Duplicate edges and either
+    endpoint order are accepted.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count n={n} exceeds the limit of {MAX_VERTICES}")
     edges = []
     for pair in edge_list:
         if len(pair) != 2:
@@ -137,22 +145,27 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
 
 def connected_components(G: Graph) -> list[frozenset[int]]:
     """Vertex sets of the components, ordered by smallest member."""
-    adj = G.adjacency()
-    seen: set[int] = set()
+    return sorted(components_within(G.adjacency(), G.vertices), key=min)
+
+
+def components_within(adj: Mapping[int, set[int]], W: Iterable[int]) -> list[frozenset[int]]:
+    """Vertex sets of the components of G_W, from the adjacency of G.
+
+    One search over W; the order of the components is unspecified.
+    """
+    left = set(W)
     comps: list[frozenset[int]] = []
-    for v in G.vertices:
-        if v in seen:
-            continue
-        stack, comp = [v], {v}
+    while left:
+        v = left.pop()
+        stack, comp = [v], [v]
         while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in comp:
-                    comp.add(nb)
+            for nb in adj[stack.pop()]:
+                if nb in left:
+                    left.remove(nb)
+                    comp.append(nb)
                     stack.append(nb)
-        seen |= comp
         comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return comps
 
 
 def has_isolated_vertex(G: Graph) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from pathbetti import (
     BettiTable,
     IsoMemo,
+    connected_components,
     graded_betti_table,
     graph_from_edges,
     induced_subgraph,
@@ -205,6 +206,67 @@ def test_memo_table_agrees():
         plain = graded_betti_table(G, t, use_memo=False).as_dict()
         memoized = graded_betti_table(G, t, use_memo=True).as_dict()
         assert plain == memoized
+
+
+def _random_piece(rng: random.Random, labels: list[int]) -> set[tuple[int, int]]:
+    """Edges of a connected graph on labels: a random tree plus sparse extras."""
+    order = labels[:]
+    rng.shuffle(order)
+    edges = {tuple(sorted((v, rng.choice(order[:k])))) for k, v in enumerate(order) if k}
+    edges |= {pair for pair in combinations(labels, 2) if rng.random() < 0.2}
+    return edges
+
+
+def _differential_graphs(seed: int, count: int):
+    """Seeded (kind, graph) pairs on at most 8 vertices, count of each kind."""
+    rng = random.Random(seed)
+    out = []
+    for kind in ("connected", "disconnected", "isolated"):
+        for _ in range(count):
+            n = rng.randint(4, 8)
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            if kind == "connected":
+                pieces = [labels]
+            elif kind == "disconnected":
+                cut = rng.randint(2, n - 2)
+                pieces = [labels[:cut], labels[cut:]]
+            else:
+                lone = rng.randint(1, 2)
+                pieces = [[v] for v in labels[:lone]] + [labels[lone:]]
+            edges = set()
+            for piece in pieces:
+                edges |= _random_piece(rng, sorted(piece))
+            out.append((kind, graph_from_edges(n, [list(e) for e in edges])))
+    return out
+
+
+def test_factorized_walk_matches_direct_walk():
+    # the factorized table against the sum of the direct, unfactorized walk
+    graphs = _differential_graphs(20261018, 6)
+    orders = {kind: [] for kind, _ in graphs}
+    for kind, G in graphs:
+        orders[kind].append(sorted(len(c) for c in connected_components(G)))
+    assert all(len(o) == 1 for o in orders["connected"])
+    assert all(len(o) >= 2 and o[0] >= 2 for o in orders["disconnected"])
+    assert all(o[0] == 1 for o in orders["isolated"])
+    checked = {kind: 0 for kind in orders}
+    for kind, G in graphs:
+        for t in (1, 2, 3):
+            I = path_ideal(G, t)
+            # the direct walk's complexes have at most 2^g faces for g
+            # generators; g <= 12 keeps every one far under the face cap
+            if len(I.generators) > 12:
+                continue
+            checked[kind] += 1
+            for prime in (2, 32003):
+                want: dict[tuple[int, int], int] = {(0, 0): 1}
+                for (i, w), b in multigraded_record(I, prime).items():
+                    want[(i, len(w))] = want.get((i, len(w)), 0) + b
+                for memo in (False, True):
+                    got = graded_betti_table(G, t, p_field=prime, use_memo=memo).as_dict()
+                    assert got == want, (kind, G, t, prime, memo)
+    assert min(checked.values()) >= 12, checked
 
 
 def test_koszul_diagonal_for_t_equal_one():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pathbetti
 from pathbetti import (
     BettiTable,
     formula_betti_table,
@@ -199,6 +202,29 @@ def test_size_cap_exit(capsys, tmp_path):
     assert "multidegree 1,2,3,4,5,6,7:" in err
 
 
+def test_homology_cap_names_multidegree(capsys, tmp_path, monkeypatch):
+    from pathbetti import complexes, homology
+
+    # a 64-face cap trips on K_7's top complex at once
+    monkeypatch.setattr(homology, "faces_by_dim", lambda K, cap: complexes.faces_by_dim(K, cap=64))
+    k7 = tmp_path / "k7.json"
+    edges = [[a, b] for a in range(1, 8) for b in range(a + 1, 8)]
+    k7.write_text(json.dumps({"n": 7, "edges": edges}))
+    rc, out, err = run_cli(capsys, "homology", "--edges", str(k7), "--t", "2")
+    assert (rc, out) == (EXIT_SIZE, "")
+    assert "multidegree 1,2,3,4,5,6,7: complex exceeds the 64 face cap" in err
+
+
+def test_huge_vertex_count_is_usage_error(capsys, tmp_path):
+    from pathbetti.graphs import MAX_VERTICES
+
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**9, "edges": []}))
+    rc, out, err = run_cli(capsys, "betti", "--edges", str(huge), "--t", "2")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert f"n=1000000000 exceeds the limit of {MAX_VERTICES}" in err
+
+
 def test_prime_flag(capsys):
     rc, a, _ = run_cli(capsys, "betti", "--cycle", "5", "--t", "2", "--format", "json")
     rc2, b, _ = run_cli(
@@ -228,10 +254,14 @@ def test_deterministic_output(capsys, ex_file):
 
 
 def test_module_entrypoint_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(pathbetti.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run(
         [sys.executable, "-m", "pathbetti", "betti", "--line", "4", "--t", "2", "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r.returncode == 0
     assert r.stdout == '{"entries":[{"i":0,"j":0,"b":1},{"i":1,"j":2,"b":3},{"i":2,"j":3,"b":2}]}\n'
@@ -239,6 +269,7 @@ def test_module_entrypoint_subprocess():
         [sys.executable, "-m", "pathbetti", "compare", "--line", "4", "--t", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r2.returncode == 0
 

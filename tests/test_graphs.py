@@ -16,6 +16,7 @@ from pathbetti import (
     line_decomposition,
     standard_graph,
 )
+from pathbetti.graphs import MAX_VERTICES, components_within
 
 
 def ex_graph() -> Graph:
@@ -67,6 +68,15 @@ def test_graph_from_edges_validation():
     # duplicate and reversed edges collapse
     G = graph_from_edges(3, [[2, 1], [1, 2], [2, 3]])
     assert G.edges == ((1, 2), (2, 3))
+
+
+def test_graph_from_edges_bounds_vertex_count():
+    assert graph_from_edges(MAX_VERTICES, []).n == MAX_VERTICES
+    with pytest.raises(ValueError, match=rf"n={MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"):
+        graph_from_edges(MAX_VERTICES + 1, [])
+    # checked before the edge list is read
+    with pytest.raises(ValueError, match="n=1000000000 exceeds"):
+        graph_from_json({"n": 10**9, "edges": None})
 
 
 def test_graph_from_json():
@@ -161,6 +171,15 @@ def test_connected_components():
     ]
     assert connected_components(graph_from_edges(0, [])) == []
     assert connected_components(standard_graph("cycle", 4)) == [frozenset({1, 2, 3, 4})]
+
+
+def test_components_within_is_components_of_induced_subgraph():
+    rng = random.Random(11)
+    for _ in range(60):
+        G = random_graph(rng, rng.randint(0, 8))
+        W = frozenset(v for v in G.vertices if rng.random() < 0.6)
+        got = sorted(components_within(G.adjacency(), W), key=min)
+        assert got == connected_components(induced_subgraph(G, W))
 
 
 def test_has_isolated_vertex():
