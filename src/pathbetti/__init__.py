@@ -42,6 +42,7 @@ from .formulas import (
 )
 from .graphs import (
     Graph,
+    canonical_form,
     connected_components,
     enumerate_t_paths,
     graph_from_edges,

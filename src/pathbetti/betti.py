@@ -7,7 +7,8 @@ factorized walk that rests on the restriction and product rule: b_{·,W}
 depends only on G_W and is the convolution of the top vectors of the
 components of G_W.  So the table of G is the product of the tables of its
 components, and within one component homology runs only on connected
-lcm-closed supports, each once.  multigraded_record keeps the direct walk
+lcm-closed supports, each once; with use_memo, once per isomorphism class,
+keyed by an exact canonical form.  multigraded_record keeps the direct walk
 over every subset.  The chosen field characteristic does not change any
 table in this package's scope, which the test suite checks rather than
 assumes.
@@ -20,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import SizeCapError
-from .graphs import Graph, components_within, connected_components, induced_subgraph
+from .graphs import Graph, canonical_form, components_within, connected_components, induced_subgraph
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, path_ideal, taylor_strict_sub
 
@@ -94,43 +95,25 @@ def multigraded_record(
 
 
 class IsoMemo:
-    """Cache of top vectors keyed by the isomorphism class of a graph.
+    """Cache of top vectors keyed by the exact canonical form of a graph.
 
-    Cheap invariants (order, size, degree multiset) bucket the candidates;
-    an exact isomorphism check guards every reuse, so a hash collision can
-    never corrupt a table.
+    Two graphs share a key exactly when they are isomorphic, so a hit is
+    one dict lookup and never reuses the vector of a different graph.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, list[tuple[Graph, dict[int, int]]]] = {}
+        self._vectors: dict[tuple, dict[int, int]] = {}
         self.hits = 0
 
-    @staticmethod
-    def _invariant(G: Graph) -> tuple:
-        adj = G.adjacency()
-        degrees = tuple(sorted(len(adj[v]) for v in G.vertices))
-        return (G.n, len(G.edges), degrees)
-
-    @staticmethod
-    def _to_nx(G: Graph):
-        import networkx as nx
-
-        H = nx.Graph()
-        H.add_nodes_from(G.vertices)
-        H.add_edges_from(G.edges)
-        return H
-
     def lookup(self, G: Graph) -> Optional[dict[int, int]]:
-        import networkx as nx
-
-        for stored, vec in self._buckets.get(self._invariant(G), []):
-            if nx.is_isomorphic(self._to_nx(stored), self._to_nx(G)):
-                self.hits += 1
-                return dict(vec)
-        return None
+        vec = self._vectors.get(canonical_form(G))
+        if vec is None:
+            return None
+        self.hits += 1
+        return dict(vec)
 
     def store(self, G: Graph, vec: dict[int, int]) -> None:
-        self._buckets.setdefault(self._invariant(G), []).append((G, dict(vec)))
+        self._vectors[canonical_form(G)] = dict(vec)
 
 
 def graded_betti_table(
@@ -147,8 +130,8 @@ def graded_betti_table(
     and b_{·,W} is the convolution of the top vectors of the components C
     of G_W.  Each C is lcm-closed (a t-path inside W is connected), and
     its top vector is computed once per vertex set.  With use_memo a top
-    vector missing from that cache is looked up by the isomorphism class
-    of G_C before any homology runs.
+    vector missing from that cache is looked up by the canonical form of
+    G_C (its isomorphism class) before any homology runs.
     """
     if t < 1:
         raise ValueError("need t >= 1")

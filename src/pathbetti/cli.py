@@ -25,6 +25,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
 
+MEMO_HELP = "cache per isomorphism class of each connected component of G_W"
+
 
 def _add_graph_flags(sp: argparse.ArgumentParser, with_edges: bool = True) -> None:
     grp = sp.add_mutually_exclusive_group(required=True)
@@ -219,16 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     betti.add_argument("--method", choices=("oracle", "formula"), default="oracle")
     betti.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     betti.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
-    betti.add_argument(
-        "--memo", action="store_true", help="cache per isomorphism class of each connected component of G_W"
-    )
+    betti.add_argument("--memo", action="store_true", help=MEMO_HELP)
     betti.set_defaults(func=cmd_betti)
 
     compare = sub.add_parser("compare", help="oracle vs formula on a named family")
     _add_graph_flags(compare, with_edges=False)
     compare.add_argument("--t", type=int, required=True, metavar="K")
     compare.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    compare.add_argument("--memo", action="store_true")
+    compare.add_argument("--memo", action="store_true", help=MEMO_HELP)
     compare.set_defaults(func=cmd_compare)
 
     omega = sub.add_parser("omega", help="homology dims of the sliding-window complex")

@@ -12,9 +12,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 _FAMILIES = ("line", "cycle", "star")
 
-# Largest vertex count accepted from an explicit edge list, checked before
-# anything is built: the oracle loops over every component, isolated
-# vertices included, so n bounds its work even for an empty edge list.
+# Largest vertex count accepted from an explicit edge list, and largest N
+# of a named family, checked before anything is built: the oracle loops
+# over every component, isolated vertices included, so n bounds its work
+# even for an empty edge list.
 MAX_VERTICES = 1 << 12
 
 
@@ -54,11 +55,14 @@ def standard_graph(kind: str, size_param: int) -> Graph:
     """Named family constructor: line L_n, cycle C_n, or star S_n.
 
     L_n is the path on vertices 1..n, C_n the cycle on 1..n (n >= 3), and
-    S_n the star with center 1 and leaves 2..n+1.
+    S_n the star with center 1 and leaves 2..n+1.  A size_param above
+    MAX_VERTICES is rejected before anything is built.
     """
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family {kind!r}, expected one of {_FAMILIES}")
     n = size_param
+    if n > MAX_VERTICES:
+        raise ValueError(f"{kind} size n={n} exceeds the limit of {MAX_VERTICES}")
     if kind == "line":
         if n < 1:
             raise ValueError("line needs n >= 1")
@@ -166,6 +170,75 @@ def components_within(adj: Mapping[int, set[int]], W: Iterable[int]) -> list[fro
                     stack.append(nb)
         comps.append(frozenset(comp))
     return comps
+
+
+def canonical_form(G: Graph) -> tuple:
+    """Exact isomorphism certificate: equal for two graphs iff they are isomorphic.
+
+    The form is (n, edges): the lexicographically smallest sorted edge list
+    among the relabellings onto 0..n-1 at the leaves of a search.  A node
+    refines its colouring until it is equitable, then individualises a
+    vertex of the first non-singleton cell.  Colours are renumbered by
+    sorted signature, so the search tree does not depend on the labels,
+    and every leaf is a relabelling of G.  Twins (N(u)-{v} == N(v)-{u},
+    an equivalence relation) are swapped by an automorphism that fixes
+    the colouring, so a cell branches on one vertex per twin class, and a
+    cell that is one twin class splits into singletons without branching;
+    stars and complete (bipartite) pieces stay linear.  A twin-free graph
+    visits at least one leaf per automorphism (1,152 for the 4x4 rook's
+    graph), which suits the small components of G_W, not large symmetric
+    graphs.
+    """
+    index = {v: k for k, v in enumerate(G.vertices)}
+    edges = [(index[u], index[v]) for u, v in G.edges]
+    nbrs: list[set[int]] = [set() for _ in G.vertices]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    best: Optional[tuple[tuple[int, int], ...]] = None
+
+    def search(colour: list) -> None:
+        nonlocal best
+        colour = _refine(nbrs, colour)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        target = min((c for c, cell in cells.items() if len(cell) > 1), default=None)
+        if target is None:
+            cert = tuple(sorted((min(colour[a], colour[b]), max(colour[a], colour[b])) for a, b in edges))
+            if best is None or cert < best:
+                best = cert
+            return
+        reps: list[int] = []
+        for v in cells[target]:
+            if not any(nbrs[v] - {r} == nbrs[r] - {v} for r in reps):
+                reps.append(v)
+        if len(reps) == 1:
+            order = {v: k for k, v in enumerate(cells[target])}
+            search([(c, order.get(v, 0)) for v, c in enumerate(colour)])
+            return
+        for r in reps:
+            search([(c, v != r) for v, c in enumerate(colour)])
+
+    search([0] * G.n)
+    return (G.n, best)
+
+
+def _refine(nbrs: Sequence[set[int]], colour: list) -> list[int]:
+    """Coarsest equitable refinement of colour, renumbered 0.. by signature.
+
+    A vertex's signature is its colour and the sorted colours of its
+    neighbours; ranks of sorted signatures keep the order of the old
+    colours, so the result depends on the colouring, never on labels.
+    """
+    classes = len(set(colour))
+    while True:
+        sigs = [(c, tuple(sorted(map(colour.__getitem__, nb)))) for c, nb in zip(colour, nbrs)]
+        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        if len(rank) in (classes, len(nbrs)):
+            return [rank[s] for s in sigs]
+        classes = len(rank)
+        colour = [rank[s] for s in sigs]
 
 
 def has_isolated_vertex(G: Graph) -> bool:

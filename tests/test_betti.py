@@ -194,6 +194,13 @@ def test_iso_memo():
     path3 = induced_subgraph(L, {2, 3, 4})
     memo.store(tri, {9: 9})
     assert memo.lookup(path3) == {2: 1}
+    # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
+    # multiset (3,2,2,2,1,1,1), not isomorphic
+    legs222 = graph_from_edges(7, [[1, 2], [2, 3], [1, 4], [4, 5], [1, 6], [6, 7]])
+    legs411 = graph_from_edges(7, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 6], [1, 7]])
+    memo.store(legs222, {4: 1})
+    assert memo.lookup(legs411) is None
+    assert memo.hits == 2
 
 
 def test_memo_table_agrees():

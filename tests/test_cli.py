@@ -225,6 +225,15 @@ def test_huge_vertex_count_is_usage_error(capsys, tmp_path):
     assert f"n=1000000000 exceeds the limit of {MAX_VERTICES}" in err
 
 
+def test_huge_family_size_is_usage_error(capsys):
+    from pathbetti.graphs import MAX_VERTICES
+
+    for family in ("--line", "--cycle", "--star"):
+        rc, out, err = run_cli(capsys, "betti", family, "5000", "--t", "2")
+        assert (rc, out) == (EXIT_USAGE, ""), family
+        assert f"n=5000 exceeds the limit of {MAX_VERTICES}" in err
+
+
 def test_prime_flag(capsys):
     rc, a, _ = run_cli(capsys, "betti", "--cycle", "5", "--t", "2", "--format", "json")
     rc2, b, _ = run_cli(
@@ -239,6 +248,13 @@ def test_memo_flag_equal_output(capsys):
     rc2, b, _ = run_cli(capsys, "betti", "--line", "6", "--t", "2", "--memo", "--format", "json")
     assert rc == rc2 == EXIT_OK
     assert a == b
+
+
+def test_memo_help_on_both_subcommands(capsys):
+    for command in ("betti", "compare"):
+        rc, out, _ = run_cli(capsys, command, "--help")
+        assert rc == EXIT_OK
+        assert "--memo cache per isomorphism class of each connected component of G_W" in " ".join(out.split())
 
 
 def test_deterministic_output(capsys, ex_file):

@@ -7,6 +7,7 @@ import pytest
 
 from pathbetti import (
     Graph,
+    canonical_form,
     connected_components,
     enumerate_t_paths,
     graph_from_edges,
@@ -45,6 +46,10 @@ def test_standard_families():
         standard_graph("tree", 3)
     with pytest.raises(ValueError):
         standard_graph("star", 0)
+    assert standard_graph("line", MAX_VERTICES).n == MAX_VERTICES
+    for kind in ("line", "cycle", "star"):
+        with pytest.raises(ValueError, match=rf"n={MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"):
+            standard_graph(kind, MAX_VERTICES + 1)
 
 
 def test_graph_accessors():
@@ -180,6 +185,80 @@ def test_components_within_is_components_of_induced_subgraph():
         W = frozenset(v for v in G.vertices if rng.random() < 0.6)
         got = sorted(components_within(G.adjacency(), W), key=min)
         assert got == connected_components(induced_subgraph(G, W))
+
+
+def _relabel(G: Graph, rng: random.Random) -> Graph:
+    """G under a random bijection onto random integer labels."""
+    labels = rng.sample(range(1, 10 * G.n + 10), G.n)
+    to = dict(zip(G.vertices, labels))
+    edges = sorted((min(to[u], to[v]), max(to[u], to[v])) for u, v in G.edges)
+    return Graph(vertices=tuple(sorted(labels)), edges=tuple(edges))
+
+
+def _brute_form(G: Graph) -> tuple:
+    """Smallest relabelled edge list over all n! bijections onto 0..n-1."""
+    best = None
+    for perm in permutations(range(G.n)):
+        to = dict(zip(G.vertices, perm))
+        edges = tuple(sorted((min(to[u], to[v]), max(to[u], to[v])) for u, v in G.edges))
+        if best is None or edges < best:
+            best = edges
+    return (G.n, best)
+
+
+def test_canonical_form_is_exact():
+    rng = random.Random(5)
+    graphs = []
+    for n in range(7):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(3 if n < 5 else 12):
+                pairs = [p for p in combinations(range(1, n + 1), 2) if rng.random() < density]
+                G = graph_from_edges(n, pairs)
+                graphs += [G, _relabel(G, rng)]
+    # regular pairs that colour refinement alone cannot tell apart
+    graphs += [
+        standard_graph("cycle", 6),
+        graph_from_edges(6, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]),
+        graph_from_edges(6, [[a, b] for a in (1, 2, 3) for b in (4, 5, 6)]),
+        graph_from_edges(6, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6], [1, 4], [2, 5], [3, 6]]),
+    ]
+    forms = [canonical_form(G) for G in graphs]
+    brute = [_brute_form(G) for G in graphs]
+    degrees = [sorted(map(len, G.adjacency().values())) for G in graphs]
+    cases = {"iso, different edges": 0, "not iso, same degrees": 0}
+    for (G, f, b, d), (H, g, c, e) in combinations(zip(graphs, forms, brute, degrees), 2):
+        assert (f == g) == (b == c), (G, H)
+        if b == c and G.edges != H.edges:
+            cases["iso, different edges"] += 1
+        elif b != c and d == e:
+            cases["not iso, same degrees"] += 1
+    assert min(cases.values()) >= 20, cases
+
+    rook4 = graph_from_edges(
+        16, [[a + 1, b + 1] for a, b in combinations(range(16), 2) if a // 4 == b // 4 or a % 4 == b % 4]
+    )
+    petersen = graph_from_edges(
+        10,
+        [[i + 1, (i + 1) % 5 + 1] for i in range(5)]
+        + [[i + 6, (i + 2) % 5 + 6] for i in range(5)]
+        + [[i + 1, i + 6] for i in range(5)],
+    )
+    # cubic with no automorphism but the identity: refinement leaves one
+    # cell of vertices that lie in twelve different orbits
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    frucht = graph_from_edges(
+        12, [[i + 1, (i + 1) % 12 + 1] for i in range(12)] + [[i + 1, (i + lcf[i]) % 12 + 1] for i in range(12)]
+    )
+    for G in (
+        standard_graph("cycle", 13),
+        standard_graph("star", 10),
+        standard_graph("line", 16),
+        petersen,
+        rook4,
+        frucht,
+    ):
+        form = canonical_form(G)
+        assert canonical_form(_relabel(G, rng)) == form, G
 
 
 def test_has_isolated_vertex():
