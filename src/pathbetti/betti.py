@@ -52,11 +52,6 @@ class BettiTable:
     def max_j(self) -> int:
         return max((ij[1] for ij, _ in self.entries), default=0)
 
-    def restrict_j(self, allowed) -> "BettiTable":
-        """Table with only the entries whose total degree satisfies allowed."""
-        kept = {ij: b for ij, b in self.entries if ij == (0, 0) or allowed(ij[1])}
-        return BettiTable.from_dict(self.ambient_n, kept)
-
 
 def multigraded_betti(
     I: MonomialIdeal,

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .betti import BettiTable, graded_betti_table, multigraded_betti
-from .complexes import SizeCapError, omega_complex
+from .complexes import DEFAULT_FACE_CAP, SizeCapError, omega_complex
 from .formulas import UnsupportedFormulaError, formula_betti_table, omega_homology_dims_formula
 from .graphs import Graph, enumerate_t_paths, graph_from_json, standard_graph
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
@@ -55,7 +55,7 @@ def _check_t(t: int) -> int:
     return t
 
 
-def render_table_text(table: BettiTable, title: str, note: str | None = None) -> str:
+def render_table_text(table: BettiTable, title: str) -> str:
     d = table.as_dict()
     max_i, max_j = table.max_i, table.max_j
     cells = {ij: str(b) for ij, b in d.items()}
@@ -69,8 +69,6 @@ def render_table_text(table: BettiTable, title: str, note: str | None = None) ->
         for j in range(max_j + 1):
             row.append(f"{cells.get((i, j), '.'):>{w}}")
         lines.append(" ".join(row))
-    if note:
-        lines.append(note)
     return "\n".join(lines)
 
 
@@ -90,15 +88,10 @@ def cmd_betti(args) -> int:
     t = _check_t(args.t)
     validate_prime(args.prime)
     G, label, family, size = _resolve_graph(args)
-    note = None
     if args.method == "formula":
         if family is None:
             raise ValueError("--method formula needs a named family (--line/--cycle/--star)")
-        result = formula_betti_table(family, size, t)
-        table = result.table
-        if result.uncovered:
-            missing = ",".join(f"j={j}" for j in sorted(result.uncovered))
-            note = f"note: {missing} not covered by the formula; use --method oracle"
+        table = formula_betti_table(family, size, t).table
     else:
         table = graded_betti_table(G, t, p_field=args.prime, use_memo=args.memo)
     title = f"Betti numbers of S/I_{t}({label})"
@@ -107,7 +100,7 @@ def cmd_betti(args) -> int:
     elif args.fmt == "csv":
         print(render_table_csv(table))
     else:
-        print(render_table_text(table, title, note))
+        print(render_table_text(table, title))
     return EXIT_OK
 
 
@@ -115,13 +108,10 @@ def cmd_compare(args) -> int:
     t = _check_t(args.t)
     validate_prime(args.prime)
     G, label, family, size = _resolve_graph(args)
-    result = formula_betti_table(family, size, t)
-    oracle = graded_betti_table(G, t, p_field=args.prime, use_memo=args.memo)
-    restricted = oracle.restrict_j(lambda j: j not in result.uncovered)
-    got, want = restricted.as_dict(), result.table.as_dict()
+    want = formula_betti_table(family, size, t).table.as_dict()
+    got = graded_betti_table(G, t, p_field=args.prime, use_memo=args.memo).as_dict()
     if got == want:
-        scope = f", j<{min(result.uncovered)}" if result.uncovered else ""
-        print(f"MATCH ({len(got)} entries{scope})")
+        print(f"MATCH ({len(got)} entries)")
         return EXIT_OK
     for ij in sorted(set(got) | set(want)):
         a, f = got.get(ij, 0), want.get(ij, 0)
@@ -137,6 +127,11 @@ def cmd_omega(args) -> int:
     validate_prime(args.prime)
     want_oracle = args.method in ("oracle", "both")
     want_formula = args.method in ("formula", "both")
+    # one facet alone has 2^(n-t) faces; reject before building n-t+1 of them
+    if want_oracle and args.n - args.t >= DEFAULT_FACE_CAP.bit_length():
+        raise SizeCapError(
+            f"omega n={args.n}, t={args.t}: one facet exceeds the {DEFAULT_FACE_CAP} face cap"
+        )
     oracle = (
         reduced_homology_dims(omega_complex(args.n, args.t), args.prime).as_dict()
         if want_oracle

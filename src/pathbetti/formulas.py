@@ -64,11 +64,7 @@ def line_top_betti_formula(n: int, t: int, i: int) -> int:
         raise UnsupportedFormulaError("line formulas need t >= 2")
     if n < 1 or i < 1:
         return 0
-    if n % (t + 1) == 0 and i == 2 * n // (t + 1):
-        return 1
-    if n % (t + 1) == t and i + 1 == (2 * n + 2) // (t + 1):
-        return 1
-    return 0
+    return line_multigraded_formula([n], t, i)
 
 
 def line_multigraded_formula(component_orders: Sequence[int], t: int, i: int) -> int:
@@ -118,18 +114,26 @@ def line_graded_formula(n: int, t: int, i: int, j: int) -> int:
 
 
 def cycle_graded_formula(n: int, t: int, i: int, j: int) -> int:
-    """Graded Betti number b_{i,j}(S/I_t(C_n)) for total degree j < n.
+    """Graded Betti number b_{i,j}(S/I_t(C_n)), zero for j > n.
 
-    The top degree j = n has no closed form here and is rejected; use the
-    homology oracle for it.  The value is n/(n-j) * C(n-j, A) *
+    Below the top degree the value is n/(n-j) * C(n-j, A) *
     C(n-j-1+B, n-j-1), an exact integer (the division is asserted exact).
+    The top degree j = n has one nonzero entry when n >= t: b_{2n/(t+1), n}
+    = t if t+1 divides n, otherwise b_{2p+1, n} = 1 with p = n // (t+1).
     """
     if t < 2:
         raise UnsupportedFormulaError("cycle formulas need t >= 2")
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    if j >= n:
-        raise ValueError("the cycle formula covers only j < n")
+    if j > n:
+        return 0
+    if j == n:
+        if n < t:
+            return 0
+        p, d = divmod(n, t + 1)
+        if d == 0:
+            return t if i == 2 * p else 0
+        return 1 if i == 2 * p + 1 else 0
     params = _shape_params(t, i, j)
     if params is None:
         return 0
@@ -163,7 +167,8 @@ def star_graded_formula(n: int, t: int, i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class FormulaTable:
-    """A formula-built Betti table plus the total degrees it cannot cover."""
+    """A formula-built Betti table; ``uncovered`` is always empty and stays
+    only because the benchmark's formula checks read it."""
 
     table: BettiTable
     uncovered: frozenset[int]
@@ -172,16 +177,13 @@ class FormulaTable:
 def formula_betti_table(family: str, n: int, t: int) -> FormulaTable:
     """Assemble the full graded table of S/I_t for a named family.
 
-    Coverage: lines and stars completely; cycles everywhere except the
-    top degree j = n, which is reported in ``uncovered``.  Families or t
+    Lines, cycles and stars are covered in every degree.  Families or t
     values without a formula raise UnsupportedFormulaError.
     """
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     if family == "line":
         if n < 1:
             raise ValueError("line needs n >= 1")
-        if t < 2:
-            raise UnsupportedFormulaError("line formulas need t >= 2")
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 b = line_graded_formula(n, t, i, j)
@@ -191,14 +193,12 @@ def formula_betti_table(family: str, n: int, t: int) -> FormulaTable:
     if family == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")
-        if t < 2:
-            raise UnsupportedFormulaError("cycle formulas need t >= 2")
         for i in range(1, n + 1):
-            for j in range(1, n):
+            for j in range(1, n + 1):
                 b = cycle_graded_formula(n, t, i, j)
                 if b:
                     entries[(i, j)] = b
-        return FormulaTable(BettiTable.from_dict(n, entries), frozenset({n}))
+        return FormulaTable(BettiTable.from_dict(n, entries), frozenset())
     if family == "star":
         if t not in (2, 3):
             raise UnsupportedFormulaError("star formulas cover t in {2, 3} only")

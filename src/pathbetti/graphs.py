@@ -80,18 +80,21 @@ def standard_graph(kind: str, size_param: int) -> Graph:
 def graph_from_edges(n: int, edge_list: Sequence[Sequence[int]]) -> Graph:
     """Graph on vertices 1..n from an explicit edge list.
 
-    Loops and endpoints outside 1..n are rejected with the offending pair
-    named, and so is n above MAX_VERTICES.  Duplicate edges and either
-    endpoint order are accepted.
+    Entries other than integer pairs, loops and endpoints outside 1..n are
+    rejected with the offending entry named, and so is n above MAX_VERTICES.
+    Duplicate edges and either endpoint order are accepted.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count n={n} exceeds the limit of {MAX_VERTICES}")
+    if not isinstance(edge_list, (list, tuple)):
+        raise ValueError(f"edge list must be a list, got {edge_list!r}")
     edges = []
     for pair in edge_list:
-        if len(pair) != 2:
-            raise ValueError(f"edge {list(pair)!r} is not a pair")
+        ok = isinstance(pair, (list, tuple)) and len(pair) == 2
+        if not (ok and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
+            raise ValueError(f"edge {pair!r} is not a pair of integers")
         u, v = pair
         if u == v:
             raise ValueError(f"loop edge ({u},{v}) is not allowed")
@@ -103,6 +106,8 @@ def graph_from_edges(n: int, edge_list: Sequence[Sequence[int]]) -> Graph:
 
 def graph_from_json(data: Mapping) -> Graph:
     """Ingest the {"n": int, "edges": [[u,v], ...]} wire format (1-based)."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"graph JSON must be an object, got {data!r}")
     if "n" not in data or "edges" not in data:
         raise ValueError('graph JSON needs keys "n" and "edges"')
     n = data["n"]

@@ -77,7 +77,7 @@ def test_criterion_3_cycle_compare():
             runs += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120
-    print(f"ACCEPTANCE 3: PASS ({runs} cycle comparisons below the top degree, {elapsed:.1f}s)")
+    print(f"ACCEPTANCE 3: PASS ({runs} full-table cycle comparisons, {elapsed:.1f}s)")
 
 
 def test_criterion_4_star_compare_and_linearity():

@@ -28,8 +28,6 @@ def test_betti_table_api():
     T = BettiTable.from_dict(4, {(0, 0): 1, (1, 2): 3, (2, 3): 2, (3, 5): 0})
     assert T.as_dict() == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
     assert T.max_i == 2 and T.max_j == 3
-    R = T.restrict_j(lambda j: j == 2)
-    assert R.as_dict() == {(0, 0): 1, (1, 2): 3}
     empty = BettiTable.from_dict(0, {})
     assert empty.as_dict() == {}
 

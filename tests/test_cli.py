@@ -94,7 +94,7 @@ def test_compare_match(capsys):
     assert out == f"MATCH ({k} entries)\n"
     rc, out, _ = run_cli(capsys, "compare", "--cycle", "6", "--t", "2")
     assert rc == EXIT_OK
-    assert out == "MATCH (5 entries, j<6)\n"
+    assert out == "MATCH (6 entries)\n"
     rc, out, _ = run_cli(capsys, "compare", "--star", "4", "--t", "3")
     assert rc == EXIT_OK
     assert out.startswith("MATCH (")
@@ -225,6 +225,42 @@ def test_huge_vertex_count_is_usage_error(capsys, tmp_path):
     assert f"n=1000000000 exceeds the limit of {MAX_VERTICES}" in err
 
 
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ('{"n": 3, "edges": 5}', "5"),
+        ('{"n": 3, "edges": null}', "None"),
+        ('{"n": 3, "edges": [5]}', "edge 5 "),
+        ('{"n": 3, "edges": [[1, "a"]]}', "[1, 'a']"),
+        ('{"n": 3, "edges": [[1.5, 2]]}', "[1.5, 2]"),
+        ('{"n": 3, "edges": [[true, 2]]}', "[True, 2]"),
+        ("5", "got 5"),
+    ],
+)
+def test_malformed_edges_file_is_usage_error(capsys, tmp_path, payload, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    rc, out, err = run_cli(capsys, "betti", "--edges", str(bad), "--t", "2")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_omega_oracle_cap_checked_before_building(capsys, monkeypatch):
+    import pathbetti.cli as cli_mod
+
+    def refuse(n, t):
+        raise AssertionError("omega_complex called")
+
+    monkeypatch.setattr(cli_mod, "omega_complex", refuse)
+    rc, out, err = run_cli(capsys, "omega", "--n", "100000", "--t", "2", "--method", "oracle")
+    assert (rc, out) == (EXIT_SIZE, "")
+    assert "n=100000" in err
+    # the formula route needs no complex
+    rc, out, _ = run_cli(capsys, "omega", "--n", "100000", "--t", "2", "--method", "formula")
+    assert rc == EXIT_OK
+
+
 def test_huge_family_size_is_usage_error(capsys):
     from pathbetti.graphs import MAX_VERTICES
 
@@ -290,9 +326,17 @@ def test_module_entrypoint_subprocess():
     assert r2.returncode == 0
 
 
-def test_uncovered_note_in_table(capsys):
+def test_formula_cycle_table_has_top_degree(capsys):
     rc, out, _ = run_cli(
         capsys, "betti", "--cycle", "5", "--t", "2", "--method", "formula"
     )
     assert rc == EXIT_OK
-    assert "j=5" in out
+    assert out == (
+        "Betti numbers of S/I_2(C_5)\n"
+        "i\\j 0 1 2 3 4 5\n"
+        "  0 1 . . . . .\n"
+        "  1 . . 5 . . .\n"
+        "  2 . . . 5 . .\n"
+        "  3 . . . . . 1\n"
+    )
+    assert "note" not in out

@@ -183,8 +183,7 @@ def test_cycle_graded_frozen():
     assert cycle_graded_formula(5, 2, 2, 3) == 5
     assert cycle_graded_formula(6, 2, 2, 4) == 3
     assert cycle_graded_formula(6, 2, 1, 3) == 0
-    with pytest.raises(ValueError, match="only j < n"):
-        cycle_graded_formula(5, 2, 3, 5)
+    assert cycle_graded_formula(5, 2, 3, 5) == 1
     with pytest.raises(ValueError, match="n >= 3"):
         cycle_graded_formula(2, 2, 1, 1)
     with pytest.raises(UnsupportedFormulaError):
@@ -233,8 +232,19 @@ def test_formula_betti_table_line():
 
 def test_formula_betti_table_cycle():
     ft = formula_betti_table("cycle", 5, 2)
-    assert ft.uncovered == frozenset({5})
-    assert ft.table.as_dict() == {(0, 0): 1, (1, 2): 5, (2, 3): 5}
+    assert ft.uncovered == frozenset()
+    assert ft.table.as_dict() == {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1}
+
+
+def test_cycle_top_matches_oracle():
+    # t = 2..6 includes n < t (no generators) and n = t (one generator)
+    for t in range(2, 7):
+        for n in range(3, 15):
+            oracle = graded_betti_table(standard_graph("cycle", n), t, use_memo=True)
+            want = {i: b for (i, j), b in oracle.as_dict().items() if j == n}
+            got = {i: cycle_graded_formula(n, t, i, n) for i in range(0, n + 2)}
+            assert {i: b for i, b in got.items() if b} == want, (n, t)
+            assert cycle_graded_formula(n, t, 1, n + 1) == 0
 
 
 def test_formula_betti_table_star():
