@@ -2,16 +2,16 @@
 
 The multigraded number b_{i,m} is the reduced homology dimension of the
 strict Taylor subcomplex in degree i-2, computed only on multidegrees in
-the lcm lattice (everything else vanishes).  Graded tables are built by a
-factorized walk that rests on the restriction and product rule: b_{·,W}
-depends only on G_W and is the convolution of the top vectors of the
-components of G_W.  So the table of G is the product of the tables of its
-components, and within one component homology runs only on connected
-lcm-closed supports, each once; with use_memo, once per isomorphism class,
-keyed by an exact canonical form.  multigraded_record keeps the direct walk
-over every subset.  The chosen field characteristic does not change any
-table in this package's scope, which the test suite checks rather than
-assumes.
+the lcm lattice (everything else vanishes).  Graded tables rest on the
+restriction and product rule: W is lcm-closed exactly when every
+component of G_W is, and b_{·,W} is the convolution of those components'
+top vectors.  The table is therefore the independence polynomial of the
+polymers (connected lcm-closed sets), which graded_betti_table computes
+by one memoised recursion; homology runs once per isomorphism class of
+polymer, keyed by an exact canonical form.  multigraded_record keeps the
+direct walk over every subset.  The chosen field characteristic does not
+change any table in this package's scope, which the test suite checks
+rather than assumes.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import SizeCapError
-from .graphs import Graph, canonical_form, components_within, connected_components, induced_subgraph
+from .graphs import Graph, canonical_form, enumerate_t_paths, induced_subgraph
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
-from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, path_ideal, taylor_strict_sub
+from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, taylor_strict_sub
 
 
 @dataclass(frozen=True)
@@ -92,23 +92,22 @@ def multigraded_record(
 class IsoMemo:
     """Cache of top vectors keyed by the exact canonical form of a graph.
 
-    Two graphs share a key exactly when they are isomorphic, so a hit is
-    one dict lookup and never reuses the vector of a different graph.
+    Two graphs share a key (canonical_form, computed once by the caller)
+    exactly when they are isomorphic, so a hit is one dict lookup and never
+    reuses the vector of a different graph.
     """
 
     def __init__(self) -> None:
         self._vectors: dict[tuple, dict[int, int]] = {}
         self.hits = 0
 
-    def lookup(self, G: Graph) -> Optional[dict[int, int]]:
-        vec = self._vectors.get(canonical_form(G))
-        if vec is None:
-            return None
-        self.hits += 1
-        return dict(vec)
+    def lookup(self, key: tuple) -> Optional[dict[int, int]]:
+        vec = self._vectors.get(key)
+        self.hits += vec is not None
+        return vec
 
-    def store(self, G: Graph, vec: dict[int, int]) -> None:
-        self._vectors[canonical_form(G)] = dict(vec)
+    def store(self, key: tuple, vec: dict[int, int]) -> None:
+        self._vectors[key] = vec
 
 
 def graded_betti_table(
@@ -117,65 +116,93 @@ def graded_betti_table(
     p_field: int = DEFAULT_PRIME,
     use_memo: bool = False,
 ) -> BettiTable:
-    """Betti table of S/I_t(G) by a walk factorized over components.
+    """Betti table of S/I_t(G) by one memoised recursion on vertex sets.
 
-    The table is the product, as a polynomial in (i, j), of the tables of
-    the components of G; a component without a t-path contributes the
-    unit.  A component's table sums b_{i,W} over its lcm-closed subsets W,
-    and b_{·,W} is the convolution of the top vectors of the components C
-    of G_W.  Each C is lcm-closed (a t-path inside W is connected), and
-    its top vector is computed once per vertex set.  With use_memo a top
-    vector missing from that cache is looked up by the canonical form of
-    G_C (its isomorphism class) before any homology runs.
+    T(U) sums x^i y^|W| b_{i,W} over the lcm-closed W inside U, the sets
+    of pairwise non-adjacent polymers (connected lcm-closed sets).  With
+    v = min U, T(U) = T(U - v) + sum over polymers C of U containing v of
+    y^|C| top(C) T(U - C - N(C)), from the vertices on a t-path down to
+    T({}) = 1.  Top vectors are cached by the canonical form of G_C above
+    four generators (up to four, the complex costs less than the key).
+    Explicit stacks keep the call depth constant.  use_memo has no effect.
     """
     if t < 1:
         raise ValueError("need t >= 1")
     validate_prime(p_field)
-    adj = G.adjacency()
-    memo = IsoMemo() if use_memo else None
-    tops: dict[frozenset[int], dict[int, int]] = {}
+    # a vertex is its bit in an int mask; gens maps a generator's mask to its support
+    bit = {v: 1 << k for k, v in enumerate(G.vertices)}
+    adj: dict[int, list[int]] = {b: [] for b in bit.values()}
+    for u, v in G.edges:
+        adj[bit[u]].append(bit[v])
+        adj[bit[v]].append(bit[u])
+    gens = {sum(map(bit.get, g)): g for g in enumerate_t_paths(G, t)}
+    through: dict[int, list[int]] = {b: [] for b in adj}
+    for mask, g in gens.items():
+        for v in g:
+            through[bit[v]].append(mask)
+    full = sum(b for b, masks in through.items() if masks)
+    memo = IsoMemo()
 
-    def top_vector(I: MonomialIdeal, C: frozenset[int]) -> dict[int, int]:
-        if C not in tops:
-            if memo is None:
-                tops[C] = multigraded_betti(I, C, p_field)
-            else:
-                gc = induced_subgraph(G, C)
-                vec = memo.lookup(gc)
-                if vec is None:
-                    vec = multigraded_betti(I, C, p_field)
-                    memo.store(gc, vec)
-                tops[C] = vec
-        return tops[C]
+    def alive(u: int, U: int) -> bool:
+        # u lies on a t-path inside U; no other vertex of U joins a polymer
+        return any(mask & U == mask for mask in through[u])
 
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for comp in connected_components(G):
-        if len(comp) < t:
-            continue
-        I = path_ideal(induced_subgraph(G, comp), t)
-        support = sorted(ideal_lcm(I))
-        part: dict[tuple[int, int], int] = {(0, 0): 1}
-        for size in range(t, len(support) + 1):
-            for sub in combinations(support, size):
-                w = frozenset(sub)
-                if not is_lcm_closed(I, w):
-                    continue
-                vec = top_betti_product([top_vector(I, C) for C in components_within(adj, w)])
-                for i, b in vec.items():
-                    part[(i, size)] = part.get((i, size), 0) + b
-        table = _table_product(table, part)
-    return BettiTable.from_dict(len(G.vertices), table)
+    def top(inside: tuple[int, ...]) -> dict[int, int]:
+        I = MonomialIdeal(G.n, t, tuple(gens[mask] for mask in inside))
+        support = frozenset().union(*I.generators)
+        key = len(inside) > 4 and canonical_form(induced_subgraph(G, support))
+        vec = memo.lookup(key) if key else None
+        if vec is None:
+            vec = multigraded_betti(I, support, p_field)
+            if key:
+                memo.store(key, vec)
+        return vec
 
+    def polymer_terms(U: int, v: int) -> list[tuple[int, dict[int, int], int]]:
+        # include/exclude search on frontier[0] over frames (C, generators in
+        # C, their union, C and its neighbours, frontier): each C once
+        out = []
+        stack = [(0, (), 0, 0, (v,))]
+        while stack:
+            C, inside, covered, reach, frontier = stack.pop()
+            if not frontier:
+                continue
+            w, frontier = frontier[0], frontier[1:]
+            if frontier:
+                stack.append((C, inside, covered, reach, frontier))
+            C |= w
+            for mask in through[w]:
+                if mask & C == mask:
+                    inside += (mask,)
+                    covered |= mask
+            more = tuple(u for u in adj[w] if u & U & ~reach and alive(u, U))
+            reach |= w | sum(adj[w])
+            stack.append((C, inside, covered, reach, frontier + more))
+            if covered == C and (vec := top(inside)):
+                out.append((C.bit_count(), vec, U & ~reach))
+        return out
 
-def _table_product(
-    a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
-    """Product of two Betti tables as polynomials in (i, j)."""
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
-    return out
+    # children of a state have a larger minimum: find every state, then
+    # sum the tables in decreasing order of minimum
+    terms: dict[int, list[tuple[int, dict[int, int], int]]] = {}
+    todo = [full]
+    while todo:
+        U = todo.pop()
+        if U and U not in terms:
+            v = U & -U
+            terms[U] = polymer_terms(U, v) if alive(v, U) else []
+            todo.append(U ^ v)
+            todo.extend(rest for _, _, rest in terms[U])
+    tables = {0: {(0, 0): 1}}
+    for U in sorted(terms, key=lambda U: U & -U, reverse=True):
+        # a state with no polymer shares the table of U - v
+        acc = dict(tables[U & (U - 1)]) if terms[U] else tables[U & (U - 1)]
+        for size, vec, rest in terms[U]:
+            for (i, j), b in tables[rest].items():
+                for k, c in vec.items():
+                    acc[(i + k, j + size)] = acc.get((i + k, j + size), 0) + b * c
+        tables[U] = acc
+    return BettiTable.from_dict(G.n, tables[full])
 
 
 def top_betti_product(vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:

@@ -25,7 +25,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
 
-MEMO_HELP = "cache per isomorphism class of each connected component of G_W"
+MEMO_HELP = "accepted for compatibility, no effect: the isomorphism cache is always on"
 
 
 def _add_graph_flags(sp: argparse.ArgumentParser, with_edges: bool = True) -> None:
@@ -44,8 +44,11 @@ def _resolve_graph(args) -> tuple[Graph, str, str | None, int | None]:
         if size is not None:
             return standard_graph(family, size), f"{tag}_{size}", family, size
     path = getattr(args, "edges", None)
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     return graph_from_json(data), "G", None, None
 
 

@@ -136,19 +136,23 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
         return [frozenset({v}) for v in G.vertices]
     adj = G.adjacency()
     supports: set[frozenset[int]] = set()
-
-    def extend(last: int, visited: set[int]) -> None:
-        if len(visited) == t:
-            supports.add(frozenset(visited))
-            return
-        for nb in adj[last]:
-            if nb not in visited:
-                visited.add(nb)
-                extend(nb, visited)
-                visited.remove(nb)
-
     for start in G.vertices:
-        extend(start, {start})
+        # depth-first on a stack of neighbour iterators, one per vertex of
+        # the path so far, so t never bounds the call depth
+        path, on_path, stack = [start], {start}, [iter(adj[start])]
+        while stack:
+            for nb in stack[-1]:
+                if nb not in on_path:
+                    on_path.add(nb)
+                    if len(on_path) < t:
+                        path.append(nb)
+                        stack.append(iter(adj[nb]))
+                        break
+                    supports.add(frozenset(on_path))
+                    on_path.remove(nb)
+            else:
+                stack.pop()
+                on_path.remove(path.pop())
     return sorted(supports, key=sorted)
 
 

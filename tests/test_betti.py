@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from pathbetti import (
     BettiTable,
     IsoMemo,
+    canonical_form,
     connected_components,
     graded_betti_table,
     graph_from_edges,
@@ -178,26 +181,27 @@ def test_product_rule_for_disjoint_union():
 
 
 def test_iso_memo():
+    # keys are canonical forms, computed once by the caller
     memo = IsoMemo()
     L = standard_graph("line", 5)
-    A = induced_subgraph(L, {1, 2, 3})
-    B = induced_subgraph(L, {3, 4, 5})
+    A = canonical_form(induced_subgraph(L, {1, 2, 3}))
+    B = canonical_form(induced_subgraph(L, {3, 4, 5}))
     assert memo.lookup(A) is None
     memo.store(A, {2: 1})
     assert memo.lookup(B) == {2: 1}
     assert memo.hits == 1
     # same invariants, different graph: a path and a triangle differ
-    assert memo.lookup(standard_graph("star", 3)) is None
-    tri = standard_graph("cycle", 3)
-    path3 = induced_subgraph(L, {2, 3, 4})
+    assert memo.lookup(canonical_form(standard_graph("star", 3))) is None
+    tri = canonical_form(standard_graph("cycle", 3))
+    path3 = canonical_form(induced_subgraph(L, {2, 3, 4}))
     memo.store(tri, {9: 9})
     assert memo.lookup(path3) == {2: 1}
     # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
     # multiset (3,2,2,2,1,1,1), not isomorphic
     legs222 = graph_from_edges(7, [[1, 2], [2, 3], [1, 4], [4, 5], [1, 6], [6, 7]])
     legs411 = graph_from_edges(7, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 6], [1, 7]])
-    memo.store(legs222, {4: 1})
-    assert memo.lookup(legs411) is None
+    memo.store(canonical_form(legs222), {4: 1})
+    assert memo.lookup(canonical_form(legs411)) is None
     assert memo.hits == 2
 
 
@@ -213,12 +217,12 @@ def test_memo_table_agrees():
         assert plain == memoized
 
 
-def _random_piece(rng: random.Random, labels: list[int]) -> set[tuple[int, int]]:
+def _random_piece(rng: random.Random, labels: list[int], extra: float = 0.2) -> set[tuple[int, int]]:
     """Edges of a connected graph on labels: a random tree plus sparse extras."""
     order = labels[:]
     rng.shuffle(order)
     edges = {tuple(sorted((v, rng.choice(order[:k])))) for k, v in enumerate(order) if k}
-    edges |= {pair for pair in combinations(labels, 2) if rng.random() < 0.2}
+    edges |= {pair for pair in combinations(labels, 2) if rng.random() < extra}
     return edges
 
 
@@ -226,28 +230,31 @@ def _differential_graphs(seed: int, count: int):
     """Seeded (kind, graph) pairs on at most 8 vertices, count of each kind."""
     rng = random.Random(seed)
     out = []
-    for kind in ("connected", "disconnected", "isolated"):
+    for kind in ("connected", "disconnected", "isolated", "tree", "cyclic"):
         for _ in range(count):
             n = rng.randint(4, 8)
             labels = list(range(1, n + 1))
             rng.shuffle(labels)
-            if kind == "connected":
-                pieces = [labels]
-            elif kind == "disconnected":
+            if kind == "disconnected":
                 cut = rng.randint(2, n - 2)
                 pieces = [labels[:cut], labels[cut:]]
-            else:
+            elif kind == "isolated":
                 lone = rng.randint(1, 2)
                 pieces = [[v] for v in labels[:lone]] + [labels[lone:]]
+            else:
+                pieces = [labels]
             edges = set()
             for piece in pieces:
-                edges |= _random_piece(rng, sorted(piece))
+                edges |= _random_piece(rng, sorted(piece), 0.0 if kind in ("tree", "cyclic") else 0.2)
+            if kind == "cyclic":
+                # one chord closes exactly one cycle
+                edges.add(rng.choice(sorted(set(combinations(range(1, n + 1), 2)) - edges)))
             out.append((kind, graph_from_edges(n, [list(e) for e in edges])))
     return out
 
 
 def test_factorized_walk_matches_direct_walk():
-    # the factorized table against the sum of the direct, unfactorized walk
+    # the recursion's table against the sum of the direct, unfactorized walk
     graphs = _differential_graphs(20261018, 6)
     orders = {kind: [] for kind, _ in graphs}
     for kind, G in graphs:
@@ -255,6 +262,12 @@ def test_factorized_walk_matches_direct_walk():
     assert all(len(o) == 1 for o in orders["connected"])
     assert all(len(o) >= 2 and o[0] >= 2 for o in orders["disconnected"])
     assert all(o[0] == 1 for o in orders["isolated"])
+    # a connected graph is a tree exactly when it has n - 1 edges
+    for kind, G in graphs:
+        if kind == "tree":
+            assert len(connected_components(G)) == 1 and len(G.edges) == G.n - 1
+        if kind == "cyclic":
+            assert len(connected_components(G)) == 1 and len(G.edges) == G.n
     checked = {kind: 0 for kind in orders}
     for kind, G in graphs:
         for t in (1, 2, 3):
@@ -274,11 +287,18 @@ def test_factorized_walk_matches_direct_walk():
     assert min(checked.values()) >= 12, checked
 
 
+def test_recursion_depth_does_not_grow_with_input():
+    # a perfect matching on 1,200 vertices makes 1,200 states, past the
+    # default recursion limit
+    n = 600
+    assert sys.getrecursionlimit() < 2 * n
+    G = graph_from_edges(2 * n, [[2 * k + 1, 2 * k + 2] for k in range(n)])
+    assert graded_betti_table(G, 2).as_dict() == {(i, 2 * i): comb(n, i) for i in range(n + 1)}
+
+
 def test_koszul_diagonal_for_t_equal_one():
     # t=1 on a graph with no edges: the ideal is the full set of
     # variables, whose resolution is the Koszul complex
-    from math import comb
-
     G = graph_from_edges(4, [])
     T = graded_betti_table(G, 1).as_dict()
     assert T == {(0, 0): 1, **{(i, i): comb(4, i) for i in range(1, 5)}}

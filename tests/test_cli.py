@@ -246,6 +246,31 @@ def test_malformed_edges_file_is_usage_error(capsys, tmp_path, payload, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload, why", [(b"", "Expecting value"), (b"\xff\xfe", "can't decode byte 0xff")])
+def test_unreadable_edges_file_is_named(capsys, tmp_path, payload, why):
+    # an empty file reads like /dev/null; ff fe is a UTF-16 byte order mark
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    rc, out, err = run_cli(capsys, "betti", "--edges", str(bad), "--t", "2")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert f"error: {bad} is not valid UTF-8 JSON: " in err and why in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["--line", "--star"])
+def test_largest_family_exits_at_cap(capsys, family):
+    # 2^4096 subsets for a walk; the recursion meets a capped support early
+    rc, out, err = run_cli(capsys, "betti", family, "4096", "--t", "2")
+    assert (rc, out) == (EXIT_SIZE, "")
+    assert "multidegree" in err
+
+
+def test_paths_longer_than_recursion_limit(capsys):
+    rc, out, _ = run_cli(capsys, "paths", "--line", "1200", "--t", "1100")
+    assert rc == EXIT_OK
+    assert out.splitlines()[-1] == "101 generators"
+
+
 def test_omega_oracle_cap_checked_before_building(capsys, monkeypatch):
     import pathbetti.cli as cli_mod
 
@@ -290,7 +315,9 @@ def test_memo_help_on_both_subcommands(capsys):
     for command in ("betti", "compare"):
         rc, out, _ = run_cli(capsys, command, "--help")
         assert rc == EXIT_OK
-        assert "--memo cache per isomorphism class of each connected component of G_W" in " ".join(out.split())
+        assert "--memo accepted for compatibility, no effect: the isomorphism cache is always on" in " ".join(
+            out.split()
+        )
 
 
 def test_deterministic_output(capsys, ex_file):
