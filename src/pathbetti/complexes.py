@@ -25,7 +25,7 @@ DEFAULT_FACE_CAP = 1 << 16
 
 
 class SizeCapError(Exception):
-    """A complex or matrix exceeded the configured resource cap."""
+    """A complex exceeded the face cap, or a dense matrix its entry cap."""
 
 
 @dataclass(frozen=True)
@@ -99,22 +99,10 @@ def enumerate_faces(K: SimplicialComplex, p: int, cap: int = DEFAULT_FACE_CAP) -
     """All faces of K with exactly p+1 vertices, lexicographically sorted.
 
     ``p == -1`` yields ``[()]`` for every non-void complex; degrees below
-    -1 and degrees above the dimension yield an empty list.
+    -1 and degrees above the dimension yield an empty list.  The cap
+    applies to the whole complex, as in ``faces_by_dim``, not to degree p.
     """
-    if K.is_void or p < -1:
-        return []
-    if p == -1:
-        return [()]
-    out: set[Face] = set()
-    for facet in K.facets:
-        if len(facet) < p + 1:
-            continue
-        base = sorted(facet)
-        for comb in combinations(base, p + 1):
-            out.add(comb)
-            if len(out) > cap:
-                raise SizeCapError(f"more than {cap} faces of dimension {p}")
-    return sorted(out)
+    return faces_by_dim(K, cap).get(p, [])
 
 
 def faces_by_dim(K: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> dict[int, list[Face]]:

@@ -158,15 +158,8 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
 
 def connected_components(G: Graph) -> list[frozenset[int]]:
     """Vertex sets of the components, ordered by smallest member."""
-    return sorted(components_within(G.adjacency(), G.vertices), key=min)
-
-
-def components_within(adj: Mapping[int, set[int]], W: Iterable[int]) -> list[frozenset[int]]:
-    """Vertex sets of the components of G_W, from the adjacency of G.
-
-    One search over W; the order of the components is unspecified.
-    """
-    left = set(W)
+    adj = G.adjacency()
+    left = set(G.vertices)
     comps: list[frozenset[int]] = []
     while left:
         v = left.pop()
@@ -178,7 +171,7 @@ def components_within(adj: Mapping[int, set[int]], W: Iterable[int]) -> list[fro
                     comp.append(nb)
                     stack.append(nb)
         comps.append(frozenset(comp))
-    return comps
+    return sorted(comps, key=min)
 
 
 def canonical_form(G: Graph) -> tuple:

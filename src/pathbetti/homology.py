@@ -15,8 +15,10 @@ ordinary prime.  ``reduced_homology_dims`` reduces the boundary columns
 of a complex top dimension first and skips ("clears") every p-face that
 was a pivot row of d_{p+1}: such a column is a combination of earlier
 columns because d_p d_{p+1} = 0, so the rank does not change (Chen and
-Kerber, "Persistent homology computation with a twist", 2011).  Size caps
-are checked from the face counts before any reduction.
+Kerber, "Persistent homology computation with a twist", 2011).  The
+reduction never allocates rows x cols cells, so the face cap of
+``faces_by_dim``, checked before any reduction, is the only bound on the
+work.
 """
 
 from __future__ import annotations
@@ -48,19 +50,13 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def _check_matrix_cap(name: str, nrows: int, ncols: int) -> None:
-    if nrows * ncols > MATRIX_ENTRY_CAP:
-        raise SizeCapError(f"{name} ({nrows}x{ncols}) exceeds the {MATRIX_ENTRY_CAP} entry cap")
-
-
 class PrimeFieldMatrix:
     """Sparse integer matrix over GF(prime) with a deterministic rank.
 
     Entries are stored as a dict keyed by (row, col); values are reduced
     mod prime and zeros are dropped.  ``rank`` groups the entries into
-    columns and runs the module's one sparse column reduction.  Matrices
-    with more than MATRIX_ENTRY_CAP cells are rejected by ``rank`` and
-    ``to_dense``.
+    columns and runs the module's one sparse column reduction.
+    ``to_dense`` rejects matrices with more than MATRIX_ENTRY_CAP cells.
     """
 
     __slots__ = ("nrows", "ncols", "prime", "entries")
@@ -82,7 +78,10 @@ class PrimeFieldMatrix:
         """The matrix as a numpy int64 array (numpy is imported on first use)."""
         import numpy as np
 
-        _check_matrix_cap("matrix", self.nrows, self.ncols)
+        if self.nrows * self.ncols > MATRIX_ENTRY_CAP:
+            raise SizeCapError(
+                f"matrix ({self.nrows}x{self.ncols}) exceeds the {MATRIX_ENTRY_CAP} entry cap"
+            )
         A = np.zeros((self.nrows, self.ncols), dtype=np.int64)
         for (r, c), v in self.entries.items():
             A[r, c] = v
@@ -91,7 +90,6 @@ class PrimeFieldMatrix:
     def rank(self) -> int:
         if not self.entries:
             return 0
-        _check_matrix_cap("matrix", self.nrows, self.ncols)
         columns: dict[int, dict[int, int]] = {}
         for (r, c), v in self.entries.items():
             columns.setdefault(c, {})[r] = v
@@ -195,16 +193,13 @@ def reduced_homology_dims(
 
     Degrees run from -1 through the dimension of K; everything outside
     that range is zero and omitted from the profile.  Raises SizeCapError
-    when K has more than ``cap`` faces or one of its boundary matrices has
-    more than MATRIX_ENTRY_CAP cells, before any reduction starts.
+    when K has more than ``cap`` faces, before any reduction starts.
     """
     validate_prime(p_field)
     if K.is_void:
         return HomologyProfile(prime=p_field, dims=())
     faces = faces_by_dim(K, cap=cap)
     top = max(faces)
-    for p in range(0, top + 1):
-        _check_matrix_cap(f"boundary matrix of dimension {p}", len(faces[p - 1]), len(faces[p]))
     ranks: dict[int, int] = {}
     cleared: Mapping[int, object] = {}
     for p in range(top, -1, -1):

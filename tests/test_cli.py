@@ -265,6 +265,22 @@ def test_largest_family_exits_at_cap(capsys, family):
     assert "multidegree" in err
 
 
+@pytest.mark.parametrize("family, n, t", [("--cycle", "16", "2"), ("--line", "18", "3")])
+def test_compare_matrices_past_dense_entry_cap(capsys, family, n, t):
+    # boundary matrices beyond 2^25 cells, under the face cap: the sparse
+    # reduction answers them
+    rc, out, _ = run_cli(capsys, "compare", family, n, "--t", t)
+    assert rc == EXIT_OK
+    assert out.startswith("MATCH (")
+
+
+def test_compare_past_face_cap_names_multidegree(capsys):
+    rc, out, err = run_cli(capsys, "compare", "--cycle", "17", "--t", "2")
+    assert (rc, out) == (EXIT_SIZE, "")
+    support = ",".join(map(str, range(1, 18)))
+    assert f"multidegree {support}: complex exceeds the 65536 face cap" in err
+
+
 def test_paths_longer_than_recursion_limit(capsys):
     rc, out, _ = run_cli(capsys, "paths", "--line", "1200", "--t", "1100")
     assert rc == EXIT_OK

@@ -17,7 +17,7 @@ from pathbetti import (
     line_decomposition,
     standard_graph,
 )
-from pathbetti.graphs import MAX_VERTICES, components_within
+from pathbetti.graphs import MAX_VERTICES
 
 
 def ex_graph() -> Graph:
@@ -178,13 +178,29 @@ def test_connected_components():
     assert connected_components(standard_graph("cycle", 4)) == [frozenset({1, 2, 3, 4})]
 
 
+def _union_find_components(G: Graph) -> list[frozenset[int]]:
+    parent = {v: v for v in G.vertices}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in G.edges:
+        parent[root(u)] = root(v)
+    groups: dict[int, set[int]] = {}
+    for v in G.vertices:
+        groups.setdefault(root(v), set()).add(v)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
 def test_components_within_is_components_of_induced_subgraph():
     rng = random.Random(11)
     for _ in range(60):
         G = random_graph(rng, rng.randint(0, 8))
         W = frozenset(v for v in G.vertices if rng.random() < 0.6)
-        got = sorted(components_within(G.adjacency(), W), key=min)
-        assert got == connected_components(induced_subgraph(G, W))
+        G_W = induced_subgraph(G, W)
+        assert connected_components(G_W) == _union_find_components(G_W)
 
 
 def _relabel(G: Graph, rng: random.Random) -> Graph:
