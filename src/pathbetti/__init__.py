@@ -7,7 +7,6 @@ lines, cycles, and stars.  The CLI front end lives in pathbetti.cli.
 
 from .betti import (
     BettiTable,
-    IsoMemo,
     graded_betti_table,
     multigraded_betti,
     multigraded_record,
@@ -18,7 +17,6 @@ from .complexes import (
     SizeCapError,
     boundary_complex,
     cone,
-    dump_facets,
     enumerate_faces,
     faces_by_dim,
     facet_vertex_matching,
@@ -42,12 +40,10 @@ from .formulas import (
 )
 from .graphs import (
     Graph,
-    canonical_form,
     connected_components,
     enumerate_t_paths,
     graph_from_edges,
     graph_from_json,
-    has_isolated_vertex,
     induced_subgraph,
     line_decomposition,
     standard_graph,

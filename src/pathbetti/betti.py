@@ -7,11 +7,12 @@ restriction and product rule: W is lcm-closed exactly when every
 component of G_W is, and b_{·,W} is the convolution of those components'
 top vectors.  The table is therefore the independence polynomial of the
 polymers (connected lcm-closed sets), which graded_betti_table computes
-by one memoised recursion; homology runs once per isomorphism class of
-polymer, keyed by an exact canonical form.  multigraded_record keeps the
-direct walk over every subset.  The chosen field characteristic does not
-change any table in this package's scope, which the test suite checks
-rather than assumes.
+by one memoised recursion.  Homology runs once per isomorphism class of
+polymer that is a clique, a tree or unicyclic, keyed in linear time by
+leaf peeling (_shape), and once per visit of any other polymer.
+multigraded_record keeps the direct walk over every subset.  The chosen
+field characteristic does not change any table in this package's scope,
+which the test suite checks rather than assumes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import SizeCapError
-from .graphs import Graph, canonical_form, enumerate_t_paths, induced_subgraph
+from .graphs import Graph, enumerate_t_paths
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, taylor_strict_sub
 
@@ -89,25 +90,54 @@ def multigraded_record(
     return out
 
 
-class IsoMemo:
-    """Cache of top vectors keyed by the exact canonical form of a graph.
+def _shape(C: int, nbr: Mapping[int, int], ids: dict[tuple[int, ...], int]) -> Optional[tuple]:
+    """Isomorphism key of the connected graph on the vertex mask C, or None.
 
-    Two graphs share a key (canonical_form, computed once by the caller)
-    exactly when they are isomorphic, so a hit is one dict lookup and never
-    reuses the vector of a different graph.
+    nbr maps a vertex bit to the mask of its neighbours; ids numbers the
+    rooted trees met so far and is shared by every key it is to be compared
+    with.  A clique is keyed by its order.  A graph with at most one cycle
+    sheds its leaves layer by layer, and a shed vertex is numbered by the
+    sorted numbers of the vertices shed into it (AHU tree isomorphism, Aho,
+    Hopcroft & Ullman 1974).  A tree is then keyed by the numbers of its
+    one or two centres, a unicyclic graph by the least rotation, either way
+    round, of the numbers around its cycle.  Keyed graphs share a key
+    exactly when they are isomorphic; any other graph gets None.
     """
+    deg: dict[int, int] = {}
+    rest = C
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        deg[v] = (nbr[v] & C).bit_count()
+    n, m = len(deg), sum(deg.values()) // 2
+    if 2 * m == n * (n - 1):
+        return ("clique", n)
+    if m > n:
+        return None
+    kids: dict[int, list[int]] = {v: [] for v in deg}
 
-    def __init__(self) -> None:
-        self._vectors: dict[tuple, dict[int, int]] = {}
-        self.hits = 0
+    def number(v: int) -> int:
+        return ids.setdefault(tuple(sorted(kids[v])), len(ids))
 
-    def lookup(self, key: tuple) -> Optional[dict[int, int]]:
-        vec = self._vectors.get(key)
-        self.hits += vec is not None
-        return vec
-
-    def store(self, key: tuple, vec: dict[int, int]) -> None:
-        self._vectors[key] = vec
+    leaves = [v for v, d in deg.items() if d == 1]
+    while leaves and C.bit_count() > 2:
+        layer, leaves = leaves, []
+        for v in layer:
+            C ^= v
+            u = nbr[v] & C
+            kids[u].append(number(v))
+            deg[u] -= 1
+            if deg[u] == 1:
+                leaves.append(u)
+    if m < n:
+        return tuple(sorted(number(v) for v in deg if v & C))
+    start = prev = C & -C
+    ends = nbr[start] & C
+    cur, ring = ends & -ends, [number(start)]
+    while cur != start:
+        ring.append(number(cur))
+        prev, cur = cur, nbr[cur] & C & ~prev
+    return min(tuple(r[k:] + r[:k]) for r in (ring, ring[::-1]) for k in range(len(ring)))
 
 
 def graded_betti_table(
@@ -122,8 +152,9 @@ def graded_betti_table(
     of pairwise non-adjacent polymers (connected lcm-closed sets).  With
     v = min U, T(U) = T(U - v) + sum over polymers C of U containing v of
     y^|C| top(C) T(U - C - N(C)), from the vertices on a t-path down to
-    T({}) = 1.  Top vectors are cached by the canonical form of G_C above
-    four generators (up to four, the complex costs less than the key).
+    T({}) = 1.  Top vectors of cliques, trees and unicyclic polymers are
+    cached under the key of _shape, so homology runs once per isomorphism
+    class of those; any other polymer runs homology on each visit.
     Explicit stacks keep the call depth constant.  use_memo has no effect.
     """
     if t < 1:
@@ -135,27 +166,28 @@ def graded_betti_table(
     for u, v in G.edges:
         adj[bit[u]].append(bit[v])
         adj[bit[v]].append(bit[u])
+    nbr = {b: sum(us) for b, us in adj.items()}
     gens = {sum(map(bit.get, g)): g for g in enumerate_t_paths(G, t)}
     through: dict[int, list[int]] = {b: [] for b in adj}
     for mask, g in gens.items():
         for v in g:
             through[bit[v]].append(mask)
     full = sum(b for b, masks in through.items() if masks)
-    memo = IsoMemo()
+    ids: dict[tuple[int, ...], int] = {}
+    tops: dict[tuple, dict[int, int]] = {}
 
     def alive(u: int, U: int) -> bool:
         # u lies on a t-path inside U; no other vertex of U joins a polymer
         return any(mask & U == mask for mask in through[u])
 
-    def top(inside: tuple[int, ...]) -> dict[int, int]:
+    def top(C: int, inside: tuple[int, ...]) -> dict[int, int]:
+        key = _shape(C, nbr, ids)
+        if key in tops:
+            return tops[key]
         I = MonomialIdeal(G.n, t, tuple(gens[mask] for mask in inside))
-        support = frozenset().union(*I.generators)
-        key = len(inside) > 4 and canonical_form(induced_subgraph(G, support))
-        vec = memo.lookup(key) if key else None
-        if vec is None:
-            vec = multigraded_betti(I, support, p_field)
-            if key:
-                memo.store(key, vec)
+        vec = multigraded_betti(I, frozenset().union(*I.generators), p_field)
+        if key is not None:
+            tops[key] = vec
         return vec
 
     def polymer_terms(U: int, v: int) -> list[tuple[int, dict[int, int], int]]:
@@ -176,9 +208,9 @@ def graded_betti_table(
                     inside += (mask,)
                     covered |= mask
             more = tuple(u for u in adj[w] if u & U & ~reach and alive(u, U))
-            reach |= w | sum(adj[w])
+            reach |= w | nbr[w]
             stack.append((C, inside, covered, reach, frontier + more))
-            if covered == C and (vec := top(inside)):
+            if covered == C and (vec := top(C, inside)):
                 out.append((C.bit_count(), vec, U & ~reach))
         return out
 

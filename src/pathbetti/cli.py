@@ -54,7 +54,7 @@ def _resolve_graph(args) -> tuple[Graph, str, str | None, int | None]:
 
 def _check_t(t: int) -> int:
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise ValueError(f"t must be >= 1, got t={t}")
     return t
 
 

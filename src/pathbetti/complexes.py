@@ -210,10 +210,3 @@ def facet_vertex_matching(K: SimplicialComplex) -> Optional[list[int]]:
         chosen.append(min(cands))
     return chosen
 
-
-def dump_facets(K: SimplicialComplex) -> str:
-    """One facet per line, vertices comma-separated; the empty facet as '-'."""
-    lines = []
-    for f in K.facets:
-        lines.append(",".join(map(str, sorted(f))) if f else "-")
-    return "\n".join(lines)

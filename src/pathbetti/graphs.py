@@ -13,9 +13,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 _FAMILIES = ("line", "cycle", "star")
 
 # Largest vertex count accepted from an explicit edge list, and largest N
-# of a named family, checked before anything is built: the oracle loops
-# over every component, isolated vertices included, so n bounds its work
-# even for an empty edge list.
+# of a named family, checked before anything is built: the per-vertex bit
+# tables of graded_betti_table and the start loop of enumerate_t_paths
+# both scale with n, so n bounds their work even for an empty edge list.
 MAX_VERTICES = 1 << 12
 
 
@@ -65,15 +65,15 @@ def standard_graph(kind: str, size_param: int) -> Graph:
         raise ValueError(f"{kind} size n={n} exceeds the limit of {MAX_VERTICES}")
     if kind == "line":
         if n < 1:
-            raise ValueError("line needs n >= 1")
+            raise ValueError(f"line needs n >= 1, got n={n}")
         return _build(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
     if kind == "cycle":
         if n < 3:
-            raise ValueError("cycle needs n >= 3")
+            raise ValueError(f"cycle needs n >= 3, got n={n}")
         edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
         return _build(range(1, n + 1), edges)
     if n < 1:
-        raise ValueError("star needs n >= 1")
+        raise ValueError(f"star needs n >= 1, got n={n}")
     return _build(range(1, n + 2), [(1, k) for k in range(2, n + 2)])
 
 
@@ -85,7 +85,7 @@ def graph_from_edges(n: int, edge_list: Sequence[Sequence[int]]) -> Graph:
     Duplicate edges and either endpoint order are accepted.
     """
     if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+        raise ValueError(f"vertex count must be nonnegative, got n={n}")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count n={n} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(edge_list, (list, tuple)):
@@ -112,7 +112,7 @@ def graph_from_json(data: Mapping) -> Graph:
         raise ValueError('graph JSON needs keys "n" and "edges"')
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError('"n" must be an integer')
+        raise ValueError(f'"n" must be an integer, got {n!r}')
     return graph_from_edges(n, data["edges"])
 
 
@@ -172,80 +172,6 @@ def connected_components(G: Graph) -> list[frozenset[int]]:
                     stack.append(nb)
         comps.append(frozenset(comp))
     return sorted(comps, key=min)
-
-
-def canonical_form(G: Graph) -> tuple:
-    """Exact isomorphism certificate: equal for two graphs iff they are isomorphic.
-
-    The form is (n, edges): the lexicographically smallest sorted edge list
-    among the relabellings onto 0..n-1 at the leaves of a search.  A node
-    refines its colouring until it is equitable, then individualises a
-    vertex of the first non-singleton cell.  Colours are renumbered by
-    sorted signature, so the search tree does not depend on the labels,
-    and every leaf is a relabelling of G.  Twins (N(u)-{v} == N(v)-{u},
-    an equivalence relation) are swapped by an automorphism that fixes
-    the colouring, so a cell branches on one vertex per twin class, and a
-    cell that is one twin class splits into singletons without branching;
-    stars and complete (bipartite) pieces stay linear.  A twin-free graph
-    visits at least one leaf per automorphism (1,152 for the 4x4 rook's
-    graph), which suits the small components of G_W, not large symmetric
-    graphs.
-    """
-    index = {v: k for k, v in enumerate(G.vertices)}
-    edges = [(index[u], index[v]) for u, v in G.edges]
-    nbrs: list[set[int]] = [set() for _ in G.vertices]
-    for a, b in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    best: Optional[tuple[tuple[int, int], ...]] = None
-
-    def search(colour: list) -> None:
-        nonlocal best
-        colour = _refine(nbrs, colour)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colour):
-            cells.setdefault(c, []).append(v)
-        target = min((c for c, cell in cells.items() if len(cell) > 1), default=None)
-        if target is None:
-            cert = tuple(sorted((min(colour[a], colour[b]), max(colour[a], colour[b])) for a, b in edges))
-            if best is None or cert < best:
-                best = cert
-            return
-        reps: list[int] = []
-        for v in cells[target]:
-            if not any(nbrs[v] - {r} == nbrs[r] - {v} for r in reps):
-                reps.append(v)
-        if len(reps) == 1:
-            order = {v: k for k, v in enumerate(cells[target])}
-            search([(c, order.get(v, 0)) for v, c in enumerate(colour)])
-            return
-        for r in reps:
-            search([(c, v != r) for v, c in enumerate(colour)])
-
-    search([0] * G.n)
-    return (G.n, best)
-
-
-def _refine(nbrs: Sequence[set[int]], colour: list) -> list[int]:
-    """Coarsest equitable refinement of colour, renumbered 0.. by signature.
-
-    A vertex's signature is its colour and the sorted colours of its
-    neighbours; ranks of sorted signatures keep the order of the old
-    colours, so the result depends on the colouring, never on labels.
-    """
-    classes = len(set(colour))
-    while True:
-        sigs = [(c, tuple(sorted(map(colour.__getitem__, nb)))) for c, nb in zip(colour, nbrs)]
-        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        if len(rank) in (classes, len(nbrs)):
-            return [rank[s] for s in sigs]
-        classes = len(rank)
-        colour = [rank[s] for s in sigs]
-
-
-def has_isolated_vertex(G: Graph) -> bool:
-    adj = G.adjacency()
-    return any(not nbs for nbs in adj.values())
 
 
 def line_decomposition(G: Graph) -> Optional[list[int]]:

@@ -9,9 +9,8 @@ import pytest
 
 from pathbetti import (
     BettiTable,
-    IsoMemo,
-    canonical_form,
     connected_components,
+    formula_betti_table,
     graded_betti_table,
     graph_from_edges,
     induced_subgraph,
@@ -21,6 +20,7 @@ from pathbetti import (
     standard_graph,
     top_betti_product,
 )
+from pathbetti import betti
 
 
 def ex_graph():
@@ -180,29 +180,23 @@ def test_product_rule_for_disjoint_union():
     assert got == expected == {}
 
 
-def test_iso_memo():
-    # keys are canonical forms, computed once by the caller
-    memo = IsoMemo()
-    L = standard_graph("line", 5)
-    A = canonical_form(induced_subgraph(L, {1, 2, 3}))
-    B = canonical_form(induced_subgraph(L, {3, 4, 5}))
-    assert memo.lookup(A) is None
-    memo.store(A, {2: 1})
-    assert memo.lookup(B) == {2: 1}
-    assert memo.hits == 1
-    # same invariants, different graph: a path and a triangle differ
-    assert memo.lookup(canonical_form(standard_graph("star", 3))) is None
-    tri = canonical_form(standard_graph("cycle", 3))
-    path3 = canonical_form(induced_subgraph(L, {2, 3, 4}))
-    memo.store(tri, {9: 9})
-    assert memo.lookup(path3) == {2: 1}
-    # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
-    # multiset (3,2,2,2,1,1,1), not isomorphic
-    legs222 = graph_from_edges(7, [[1, 2], [2, 3], [1, 4], [4, 5], [1, 6], [6, 7]])
-    legs411 = graph_from_edges(7, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 6], [1, 7]])
-    memo.store(canonical_form(legs222), {4: 1})
-    assert memo.lookup(canonical_form(legs411)) is None
-    assert memo.hits == 2
+@pytest.mark.parametrize(
+    "family, n, t, calls",
+    [("star", 10, 2, 10), ("cycle", 12, 2, 11), ("line", 14, 3, 12), ("star", 6, 3, 5)],
+)
+def test_homology_runs_once_per_polymer_class(monkeypatch, family, n, t, calls):
+    # every polymer here is a tree, a cycle or a clique, so each
+    # isomorphism class of polymer costs one homology run
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return multigraded_betti(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "multigraded_betti", counted)
+    G = standard_graph(family, n)
+    assert graded_betti_table(G, t).as_dict() == formula_betti_table(family, n, t).table.as_dict()
+    assert len(seen) == calls
 
 
 def test_memo_table_agrees():

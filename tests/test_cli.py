@@ -235,6 +235,8 @@ def test_huge_vertex_count_is_usage_error(capsys, tmp_path):
         ('{"n": 3, "edges": [[1.5, 2]]}', "[1.5, 2]"),
         ('{"n": 3, "edges": [[true, 2]]}', "[True, 2]"),
         ("5", "got 5"),
+        ('{"n": -1, "edges": []}', "n=-1"),
+        ('{"n": "3", "edges": []}', "'3'"),
     ],
 )
 def test_malformed_edges_file_is_usage_error(capsys, tmp_path, payload, named):
@@ -244,6 +246,21 @@ def test_malformed_edges_file_is_usage_error(capsys, tmp_path, payload, named):
     assert (rc, out) == (EXIT_USAGE, "")
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--line", "0", "--t", "2"), "n=0"),
+        (("--cycle", "2", "--t", "2"), "n=2"),
+        (("--star", "0", "--t", "2"), "n=0"),
+        (("--line", "4", "--t", "0"), "t=0"),
+    ],
+)
+def test_bad_size_or_t_is_usage_error_naming_the_value(capsys, argv, named):
+    rc, out, err = run_cli(capsys, "betti", *argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert named in err
 
 
 @pytest.mark.parametrize("payload, why", [(b"", "Expecting value"), (b"\xff\xfe", "can't decode byte 0xff")])

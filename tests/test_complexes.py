@@ -12,7 +12,6 @@ from pathbetti import (
     SimplicialComplex,
     boundary_complex,
     cone,
-    dump_facets,
     enumerate_faces,
     facet_vertex_matching,
     faces_by_dim,
@@ -218,9 +217,3 @@ def test_facet_vertex_matching_property():
                 assert (v in F) == (i != j)
     assert found >= 10
 
-
-def test_dump_facets():
-    assert dump_facets(boundary_complex(3)) == "1,2\n1,3\n2,3"
-    assert dump_facets(make_complex([[]])) == "-"
-    assert dump_facets(make_complex([])) == ""
-    assert dump_facets(make_complex([[2, 10, 1]])) == "1,2,10"

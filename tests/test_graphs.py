@@ -2,21 +2,21 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Optional
 
 import pytest
 
 from pathbetti import (
     Graph,
-    canonical_form,
     connected_components,
     enumerate_t_paths,
     graph_from_edges,
     graph_from_json,
-    has_isolated_vertex,
     induced_subgraph,
     line_decomposition,
     standard_graph,
 )
+from pathbetti.betti import _shape
 from pathbetti.graphs import MAX_VERTICES
 
 
@@ -211,77 +211,64 @@ def _relabel(G: Graph, rng: random.Random) -> Graph:
     return Graph(vertices=tuple(sorted(labels)), edges=tuple(edges))
 
 
-def _brute_form(G: Graph) -> tuple:
-    """Smallest relabelled edge list over all n! bijections onto 0..n-1."""
-    best = None
-    for perm in permutations(range(G.n)):
+def _relabellings(G: Graph) -> set[tuple[tuple[int, int], ...]]:
+    """Sorted edge lists of G under all n! bijections of its vertex set."""
+    out = set()
+    for perm in permutations(G.vertices):
         to = dict(zip(G.vertices, perm))
-        edges = tuple(sorted((min(to[u], to[v]), max(to[u], to[v])) for u, v in G.edges))
-        if best is None or edges < best:
-            best = edges
-    return (G.n, best)
+        out.add(tuple(sorted((min(to[u], to[v]), max(to[u], to[v])) for u, v in G.edges)))
+    return out
 
 
-def test_canonical_form_is_exact():
-    rng = random.Random(5)
-    graphs = []
-    for n in range(7):
-        for density in (0.2, 0.5, 0.8):
-            for _ in range(3 if n < 5 else 12):
-                pairs = [p for p in combinations(range(1, n + 1), 2) if rng.random() < density]
-                G = graph_from_edges(n, pairs)
-                graphs += [G, _relabel(G, rng)]
-    # regular pairs that colour refinement alone cannot tell apart
-    graphs += [
-        standard_graph("cycle", 6),
-        graph_from_edges(6, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]),
-        graph_from_edges(6, [[a, b] for a in (1, 2, 3) for b in (4, 5, 6)]),
-        graph_from_edges(6, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6], [1, 4], [2, 5], [3, 6]]),
-    ]
-    forms = [canonical_form(G) for G in graphs]
-    brute = [_brute_form(G) for G in graphs]
-    degrees = [sorted(map(len, G.adjacency().values())) for G in graphs]
-    cases = {"iso, different edges": 0, "not iso, same degrees": 0}
-    for (G, f, b, d), (H, g, c, e) in combinations(zip(graphs, forms, brute, degrees), 2):
-        assert (f == g) == (b == c), (G, H)
-        if b == c and G.edges != H.edges:
-            cases["iso, different edges"] += 1
-        elif b != c and d == e:
-            cases["not iso, same degrees"] += 1
-    assert min(cases.values()) >= 20, cases
-
-    rook4 = graph_from_edges(
-        16, [[a + 1, b + 1] for a, b in combinations(range(16), 2) if a // 4 == b // 4 or a % 4 == b % 4]
-    )
-    petersen = graph_from_edges(
-        10,
-        [[i + 1, (i + 1) % 5 + 1] for i in range(5)]
-        + [[i + 6, (i + 2) % 5 + 6] for i in range(5)]
-        + [[i + 1, i + 6] for i in range(5)],
-    )
-    # cubic with no automorphism but the identity: refinement leaves one
-    # cell of vertices that lie in twelve different orbits
-    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
-    frucht = graph_from_edges(
-        12, [[i + 1, (i + 1) % 12 + 1] for i in range(12)] + [[i + 1, (i + lcf[i]) % 12 + 1] for i in range(12)]
-    )
-    for G in (
-        standard_graph("cycle", 13),
-        standard_graph("star", 10),
-        standard_graph("line", 16),
-        petersen,
-        rook4,
-        frucht,
-    ):
-        form = canonical_form(G)
-        assert canonical_form(_relabel(G, rng)) == form, G
+def _shape_of(G: Graph, ids: dict) -> Optional[tuple]:
+    """The oracle's top-vector key of G, from bit masks as the oracle builds them."""
+    bit = {v: 1 << k for k, v in enumerate(G.vertices)}
+    nbr = dict.fromkeys(bit.values(), 0)
+    for u, v in G.edges:
+        nbr[bit[u]] |= bit[v]
+        nbr[bit[v]] |= bit[u]
+    return _shape(sum(nbr), nbr, ids)
 
 
-def test_has_isolated_vertex():
-    assert has_isolated_vertex(graph_from_edges(3, [[1, 2]]))
-    assert not has_isolated_vertex(standard_graph("line", 2))
-    assert not has_isolated_vertex(graph_from_edges(0, []))
-    assert has_isolated_vertex(graph_from_edges(1, []))
+def test_polymer_key_is_exact():
+    # every labelled connected graph on 1..6 vertices: trees, unicyclic
+    # graphs and cliques are keyed, and each key holds exactly one
+    # isomorphism class with all of its labellings
+    ids: dict = {}
+    classes = []
+    for n in range(1, 7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        groups: dict[tuple, set] = {}
+        for chosen in range(1 << len(pairs)):
+            G = graph_from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
+            if len(connected_components(G)) > 1:
+                continue
+            m = len(G.edges)
+            key = _shape_of(G, ids)
+            assert (key is not None) == (m <= n or 2 * m == n * (n - 1)), G
+            if key is not None:
+                groups.setdefault(key, set()).add(G.edges)
+        for key, group in groups.items():
+            assert group == _relabellings(graph_from_edges(n, min(group))), key
+        classes.append(len(groups))
+    assert classes == [1, 1, 2, 5, 9, 20]
+
+    # invariance under relabelling on larger trees and unicyclic graphs
+    rng = random.Random(8)
+    for cyclic in (False, True) * 30:
+        n = rng.randint(7, 30)
+        edges = {(rng.randint(1, k - 1), k) for k in range(2, n + 1)}
+        if cyclic:
+            edges.add(rng.choice(sorted(set(combinations(range(1, n + 1), 2)) - edges)))
+        G = graph_from_edges(n, sorted(edges))
+        key = _shape_of(G, ids)
+        assert key is not None and _shape_of(_relabel(G, rng), ids) == key, G
+
+    # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
+    # multiset (3,2,2,2,1,1,1), not isomorphic
+    legs222 = graph_from_edges(7, [[1, 2], [2, 3], [1, 4], [4, 5], [1, 6], [6, 7]])
+    legs411 = graph_from_edges(7, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 6], [1, 7]])
+    assert _shape_of(legs222, ids) != _shape_of(legs411, ids)
 
 
 def test_line_decomposition_basics():
