@@ -199,6 +199,58 @@ def test_homology_runs_once_per_polymer_class(monkeypatch, family, n, t, calls):
     assert len(seen) == calls
 
 
+def _spider(legs: list[int], first: int, order: list[int]) -> list[list[int]]:
+    """Edges of a spider with the given leg lengths, its vertices relabelled
+    first + order[k] for the k-th vertex (centre first, then leg by leg)."""
+    edges, k = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append([prev, k])
+            prev, k = k, k + 1
+    return [[first + order[u], first + order[v]] for u, v in edges]
+
+
+def _table_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
+    return out
+
+
+def test_iso_memo(monkeypatch):
+    # the top-vector cache of graded_betti_table is shared by isomorphic
+    # polymers, whatever their labels, and never by non-isomorphic ones
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[1])
+        return multigraded_betti(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "multigraded_betti", counted)
+    ident = list(range(7))
+    shuffled = [0, 5, 2, 6, 1, 4, 3]
+    legs222 = _spider([2, 2, 2], 1, ident)
+    single = graded_betti_table(graph_from_edges(7, legs222), 3).as_dict()
+    runs = len(seen)
+    assert [len(W) for W in seen].count(7) == 1
+
+    # two labellings of the (2,2,2) spider: no run beyond those of one copy
+    seen.clear()
+    twice = graph_from_edges(14, legs222 + _spider([2, 2, 2], 8, shuffled))
+    assert graded_betti_table(twice, 3).as_dict() == _table_product(single, single)
+    assert len(seen) == runs
+
+    # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
+    # multiset (3,2,2,2,1,1,1), not isomorphic, so both whole spiders run
+    other = graded_betti_table(graph_from_edges(7, _spider([4, 1, 1], 1, ident)), 3).as_dict()
+    seen.clear()
+    both = graph_from_edges(14, legs222 + _spider([4, 1, 1], 8, shuffled))
+    assert graded_betti_table(both, 3).as_dict() == _table_product(single, other)
+    assert [W for W in seen if len(W) == 7] == [frozenset(range(1, 8)), frozenset(range(8, 15))]
+
+
 def test_memo_table_agrees():
     for G, t in (
         (standard_graph("line", 7), 2),

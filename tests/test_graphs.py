@@ -230,7 +230,7 @@ def _shape_of(G: Graph, ids: dict) -> Optional[tuple]:
     return _shape(sum(nbr), nbr, ids)
 
 
-def test_polymer_key_is_exact():
+def test_canonical_form_is_exact():
     # every labelled connected graph on 1..6 vertices: trees, unicyclic
     # graphs and cliques are keyed, and each key holds exactly one
     # isomorphism class with all of its labellings
