@@ -9,10 +9,16 @@ top vectors.  The table is therefore the independence polynomial of the
 polymers (connected lcm-closed sets), which graded_betti_table computes
 by one memoised recursion.  Homology runs once per isomorphism class of
 polymer that is a clique, a tree or unicyclic, keyed in linear time by
-leaf peeling (_shape), and once per visit of any other polymer.
-multigraded_record keeps the direct walk over every subset.  The chosen
-field characteristic does not change any table in this package's scope,
-which the test suite checks rather than assumes.
+leaf peeling (_shape), and once per visit of any other polymer.  A
+polymer's top vector comes from the complex with the smallest bound on
+its size: the strict Taylor complex when W holds fewer than |W| - 1
+generators, else Hochster's complex Δ_W or its Alexander dual K^W,
+whichever is under half of the subsets of W (_top_vector).
+multigraded_betti, multigraded_record and so the homology subcommand stay
+on Taylor, the route that cross-checks the other two.  multigraded_record
+keeps the direct walk over every subset.  The chosen field characteristic
+does not change any table in this package's scope, which the test suite
+checks rather than assumes.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import SizeCapError
+from .complexes import DEFAULT_FACE_CAP, SizeCapError
 from .graphs import Graph, enumerate_t_paths
-from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
+from .homology import DEFAULT_PRIME, homology_of_faces, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, taylor_strict_sub
 
 
@@ -71,8 +77,82 @@ def multigraded_betti(
     try:
         profile = reduced_homology_dims(taylor_strict_sub(I, ms), p_field)
     except SizeCapError as exc:
-        raise SizeCapError(f"multidegree {','.join(map(str, sorted(ms)))}: {exc}") from exc
+        raise _capped(ms, exc) from exc
     return {p + 2: d for p, d in profile.dims}
+
+
+def _capped(W: Iterable[int], why: object) -> SizeCapError:
+    return SizeCapError(f"multidegree {','.join(map(str, sorted(W)))}: {why}")
+
+
+def _vertex_top(
+    I: MonomialIdeal,
+    W: frozenset[int],
+    dual: bool,
+    p_field: int = DEFAULT_PRIME,
+    limit: int = DEFAULT_FACE_CAP,
+) -> Optional[dict[int, int]]:
+    """b_{·,W}(S/I) from a complex on the vertices of W; None past limit faces.
+
+    Δ_W (dual false) holds the subsets of W that contain no generator, and
+    b_{i,W} = dim H~_{|W|-i-1}(Δ_W) (Hochster's formula; Miller &
+    Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12).  K^W (dual
+    true) holds the S ⊆ W whose complement in W contains a generator, and
+    b_{i,W} = dim H~_{i-2}(K^W) (upper Koszul complex; ibid., Thm. 1.34).
+    One depth-first search adds the vertices of W in increasing order, so
+    each face is made once, and the count is checked per face.
+    """
+    pos = {v: k for k, v in enumerate(sorted(W))}
+    w = len(pos)
+    inside = [g for g in I.generators if g <= W]
+    # through[k]: the generators through vertex k as position masks;
+    # hit[k]: the same generators as bits of their index in inside
+    through: list[list[int]] = [[] for _ in range(w)]
+    hit = [0] * w
+    for idx, g in enumerate(inside):
+        mask = sum(1 << pos[v] for v in g)
+        for v in g:
+            through[pos[v]].append(mask)
+            hit[pos[v]] |= 1 << idx
+    # K^W is void when W contains no generator
+    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]} if inside or not dual else {}
+    count = 1
+    # frames (face, its mask, the generators it avoids); a face grows by larger vertices
+    stack = [((), 0, (1 << len(inside)) - 1)]
+    while stack:
+        face, mask, avoided = stack.pop()
+        for k in range(face[-1] + 1 if face else 0, w):
+            grown, rest = mask | 1 << k, avoided & ~hit[k]
+            # Δ: only a generator through k can lie in the grown face
+            if (not rest) if dual else any(g & grown == g for g in through[k]):
+                continue
+            count += 1
+            if count > limit:
+                return None
+            f = face + (k,)
+            faces.setdefault(len(face), []).append(f)
+            stack.append((f, grown, rest))
+    dims = homology_of_faces(faces, p_field).dims
+    return {p + 2: d for p, d in dims} if dual else {w - 1 - p: d for p, d in dims}
+
+
+def _top_vector(I: MonomialIdeal, W: frozenset[int], p_field: int = DEFAULT_PRIME) -> dict[int, int]:
+    """b_{·,W}(S/I), where W is the union of the generators of I.
+
+    Of the complexes bounded by 2^k faces (Taylor, k generators) and
+    2^(|W|-1) (the smaller of Δ_W and K^W, whose sizes sum to 2^|W|),
+    the one with the smaller bound is used: Δ_W first, then K^W once Δ_W
+    passes half of the subsets of W or the face cap.
+    """
+    w = len(W)
+    if len(I.generators) < w - 1:
+        return multigraded_betti(I, W, p_field)
+    vec = _vertex_top(I, W, False, p_field, min(1 << (w - 1), DEFAULT_FACE_CAP))
+    if vec is None:
+        vec = _vertex_top(I, W, True, p_field)
+    if vec is None:
+        raise _capped(W, f"complex exceeds the {DEFAULT_FACE_CAP} face cap")
+    return vec
 
 
 def multigraded_record(
@@ -152,10 +232,13 @@ def graded_betti_table(
     of pairwise non-adjacent polymers (connected lcm-closed sets).  With
     v = min U, T(U) = T(U - v) + sum over polymers C of U containing v of
     y^|C| top(C) T(U - C - N(C)), from the vertices on a t-path down to
-    T({}) = 1.  Top vectors of cliques, trees and unicyclic polymers are
-    cached under the key of _shape, so homology runs once per isomorphism
-    class of those; any other polymer runs homology on each visit.
-    Explicit stacks keep the call depth constant.  use_memo has no effect.
+    T({}) = 1.  top(C) is computed by _top_vector, on the strict Taylor
+    complex, Δ_C or K^C, whichever has the smallest bound; a SizeCapError
+    names C when that complex is over the face cap.  Top vectors of cliques,
+    trees and unicyclic polymers are cached under the key of _shape, so
+    homology runs once per isomorphism class of those; any other polymer
+    runs homology on each visit.  Explicit stacks keep the call depth
+    constant.  use_memo has no effect.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -185,7 +268,7 @@ def graded_betti_table(
         if key in tops:
             return tops[key]
         I = MonomialIdeal(G.n, t, tuple(gens[mask] for mask in inside))
-        vec = multigraded_betti(I, frozenset().union(*I.generators), p_field)
+        vec = _top_vector(I, frozenset().union(*I.generators), p_field)
         if key is not None:
             tops[key] = vec
         return vec

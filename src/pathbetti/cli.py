@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from .betti import BettiTable, graded_betti_table, multigraded_betti
 from .complexes import DEFAULT_FACE_CAP, SizeCapError, omega_complex
@@ -58,21 +59,17 @@ def _check_t(t: int) -> int:
     return t
 
 
-def render_table_text(table: BettiTable, title: str) -> str:
+def render_table_text(table: BettiTable, title: str) -> Iterator[str]:
+    """The padded text table line by line: title, header, then rows i = 0..max_i."""
     d = table.as_dict()
     max_i, max_j = table.max_i, table.max_j
-    cells = {ij: str(b) for ij, b in d.items()}
-    w = max([len(str(max_j)), 1] + [len(s) for s in cells.values()])
+    w = max([len(str(max_j)), 1] + [len(str(b)) for b in d.values()])
     lw = max(3, len(str(max_i)))
     corner = "i\\j"
-    lines = [title]
-    lines.append(" ".join([f"{corner:>{lw}}"] + [f"{j:>{w}}" for j in range(max_j + 1)]))
+    yield title
+    yield " ".join([f"{corner:>{lw}}"] + [f"{j:>{w}}" for j in range(max_j + 1)])
     for i in range(max_i + 1):
-        row = [f"{i:>{lw}}"]
-        for j in range(max_j + 1):
-            row.append(f"{cells.get((i, j), '.'):>{w}}")
-        lines.append(" ".join(row))
-    return "\n".join(lines)
+        yield " ".join([f"{i:>{lw}}"] + [f"{d.get((i, j), '.'):>{w}}" for j in range(max_j + 1)])
 
 
 def render_table_json(table: BettiTable) -> str:
@@ -103,7 +100,8 @@ def cmd_betti(args) -> int:
     elif args.fmt == "csv":
         print(render_table_csv(table))
     else:
-        print(render_table_text(table, title))
+        for line in render_table_text(table, title):
+            print(line)
     return EXIT_OK
 
 

@@ -11,14 +11,15 @@ complex has trivial homology everywhere; the irrelevant complex has a
 single dimension 1 in degree -1.
 
 All ranks come from one sparse column reduction over GF(p), with p = 2 an
-ordinary prime.  ``reduced_homology_dims`` reduces the boundary columns
-of a complex top dimension first and skips ("clears") every p-face that
-was a pivot row of d_{p+1}: such a column is a combination of earlier
-columns because d_p d_{p+1} = 0, so the rank does not change (Chen and
-Kerber, "Persistent homology computation with a twist", 2011).  The
-reduction never allocates rows x cols cells, so the face cap of
-``faces_by_dim``, checked before any reduction, is the only bound on the
-work.
+ordinary prime.  ``homology_of_faces`` reduces the boundary columns of
+a complex given by its faces top dimension first and skips ("clears")
+every p-face that was a pivot row of d_{p+1}: such a column is a
+combination of earlier columns because d_p d_{p+1} = 0, so the rank does
+not change (Chen and Kerber, "Persistent homology computation with a
+twist", 2011).  ``reduced_homology_dims`` feeds it the faces of a complex
+given by its facets.  The reduction never allocates rows x cols cells, so
+the face cap, checked while the faces are enumerated and before any
+reduction, is the only bound on the work.
 """
 
 from __future__ import annotations
@@ -195,10 +196,21 @@ def reduced_homology_dims(
     that range is zero and omitted from the profile.  Raises SizeCapError
     when K has more than ``cap`` faces, before any reduction starts.
     """
+    return homology_of_faces(faces_by_dim(K, cap=cap), p_field)
+
+
+def homology_of_faces(faces: Mapping[int, list[Face]], p_field: int = DEFAULT_PRIME) -> HomologyProfile:
+    """Reduced homology dimensions over GF(p_field) of the complex with these faces.
+
+    ``faces`` maps p to every p-face, each a tuple of vertices in
+    increasing order, and holds the empty face under -1 unless the complex
+    is void ({}).  The order within a dimension is free: the reduction
+    only needs the p-faces in one order as rows of d_{p+1} and columns of
+    d_p.
+    """
     validate_prime(p_field)
-    if K.is_void:
+    if not faces:
         return HomologyProfile(prime=p_field, dims=())
-    faces = faces_by_dim(K, cap=cap)
     top = max(faces)
     ranks: dict[int, int] = {}
     cleared: Mapping[int, object] = {}

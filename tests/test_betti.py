@@ -186,14 +186,15 @@ def test_product_rule_for_disjoint_union():
 )
 def test_homology_runs_once_per_polymer_class(monkeypatch, family, n, t, calls):
     # every polymer here is a tree, a cycle or a clique, so each
-    # isomorphism class of polymer costs one homology run
+    # isomorphism class of polymer costs one top-vector homology run
     seen = []
+    top_vector = betti._top_vector
 
     def counted(*args, **kwargs):
         seen.append(args)
-        return multigraded_betti(*args, **kwargs)
+        return top_vector(*args, **kwargs)
 
-    monkeypatch.setattr(betti, "multigraded_betti", counted)
+    monkeypatch.setattr(betti, "_top_vector", counted)
     G = standard_graph(family, n)
     assert graded_betti_table(G, t).as_dict() == formula_betti_table(family, n, t).table.as_dict()
     assert len(seen) == calls
@@ -223,12 +224,13 @@ def test_iso_memo(monkeypatch):
     # the top-vector cache of graded_betti_table is shared by isomorphic
     # polymers, whatever their labels, and never by non-isomorphic ones
     seen = []
+    top_vector = betti._top_vector
 
     def counted(*args, **kwargs):
         seen.append(args[1])
-        return multigraded_betti(*args, **kwargs)
+        return top_vector(*args, **kwargs)
 
-    monkeypatch.setattr(betti, "multigraded_betti", counted)
+    monkeypatch.setattr(betti, "_top_vector", counted)
     ident = list(range(7))
     shuffled = [0, 5, 2, 6, 1, 4, 3]
     legs222 = _spider([2, 2, 2], 1, ident)
@@ -331,6 +333,60 @@ def test_factorized_walk_matches_direct_walk():
                     got = graded_betti_table(G, t, p_field=prime, use_memo=memo).as_dict()
                     assert got == want, (kind, G, t, prime, memo)
     assert min(checked.values()) >= 12, checked
+
+
+def _gnp(rng: random.Random, n: int, p: float):
+    return graph_from_edges(n, [list(e) for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+def _polymers(G, I):
+    """The connected lcm-closed vertex sets of G: W, its generators' ideal."""
+    for size in range(1, G.n + 1):
+        for verts in combinations(G.vertices, size):
+            W = frozenset(verts)
+            inside = tuple(g for g in I.generators if g <= W)
+            if not inside or frozenset().union(*inside) != W:
+                continue
+            sub = induced_subgraph(G, W)
+            if len(connected_components(sub)) == 1:
+                yield W, path_ideal(sub, I.t)
+
+
+def test_top_vector_routes_agree():
+    # per polymer: the strict Taylor complex, Hochster's Δ_W and its dual
+    # K^W give one top vector, and so does the route graded_betti_table picks
+    rng = random.Random(90210)
+    checked = {"taylor": 0, "delta": 0, "nonzero": 0}
+    for n in range(3, 9):
+        for G in [_gnp(rng, n, p) for p in (0.2, 0.35, 0.5, 0.7) for _ in range(2)]:
+            for t in (1, 2, 3):
+                I = path_ideal(G, t)
+                # Taylor complexes have at most 2^g faces for g generators
+                if len(I.generators) > 10:
+                    continue
+                for W, J in _polymers(G, I):
+                    route = "taylor" if len(J.generators) < len(W) - 1 else "delta"
+                    checked[route] += 1
+                    for prime in (2, 32003):
+                        want = multigraded_betti(I, W, prime)
+                        assert betti._vertex_top(J, W, False, prime) == want, (G, t, W, prime)
+                        assert betti._vertex_top(J, W, True, prime) == want, (G, t, W, prime)
+                        assert betti._top_vector(J, W, prime) == want, (G, t, W, prime)
+                    checked["nonzero"] += bool(want)
+    assert min(checked.values()) >= 100, checked
+
+
+def test_vertex_side_answers_past_taylor_cap():
+    # each of these has a polymer whose strict Taylor complex is over the
+    # face cap, while Δ_W or K^W is small
+    for family, n, t in (("cycle", 17, 2), ("cycle", 18, 3), ("star", 7, 3), ("star", 10, 3)):
+        got = graded_betti_table(standard_graph(family, n), t).as_dict()
+        assert got == formula_betti_table(family, n, t).table.as_dict(), (family, n, t)
+    # the edge ideal of K_n has a linear resolution, b_{i,i+1} = i C(n, i+1)
+    for n in (7, 8, 9):
+        K = graph_from_edges(n, [list(e) for e in combinations(range(1, n + 1), 2)])
+        want = {(0, 0): 1, **{(i, i + 1): i * comb(n, i + 1) for i in range(1, n)}}
+        assert graded_betti_table(K, 2).as_dict() == want, n
 
 
 def test_recursion_depth_does_not_grow_with_input():

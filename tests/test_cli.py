@@ -17,6 +17,7 @@ from pathbetti import (
     path_ideal,
     standard_graph,
 )
+from pathbetti import cli
 from pathbetti.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SIZE, EXIT_USAGE, main
 
 
@@ -52,6 +53,15 @@ def test_betti_table_golden(capsys):
         "  1 . . 3 .\n"
         "  2 . . . 2\n"
     )
+
+
+def test_text_table_is_written_row_by_row():
+    table = BettiTable.from_dict(4, {(0, 0): 1, (1, 2): 3, (2, 3): 12})
+    rows = cli.render_table_text(table, "T")
+    assert not isinstance(rows, str)
+    assert next(rows) == "T"
+    assert next(rows) == "i\\j  0  1  2  3"
+    assert list(rows) == ["  0  1  .  .  .", "  1  .  .  3  .", "  2  .  .  . 12"]
 
 
 def test_betti_csv_golden(capsys):
@@ -192,14 +202,15 @@ def test_formula_method_needs_named_family(capsys, ex_file):
 
 
 def test_size_cap_exit(capsys, tmp_path):
-    k7 = tmp_path / "k7.json"
-    edges = [[a, b] for a in range(1, 8) for b in range(a + 1, 8)]
-    k7.write_text(json.dumps({"n": 7, "edges": edges}))
-    rc, _, err = run_cli(capsys, "betti", "--edges", str(k7), "--t", "2")
+    l23 = tmp_path / "l23.json"
+    l23.write_text(json.dumps({"n": 23, "edges": [[a, a + 1] for a in range(1, 23)]}))
+    rc, _, err = run_cli(capsys, "betti", "--edges", str(l23), "--t", "2")
     assert rc == EXIT_SIZE
     assert "cap" in err
-    # the walk reaches the full support, whose complex is over the face cap
-    assert "multidegree 1,2,3,4,5,6,7:" in err
+    # every shorter path fits: Δ_W of a path on w <= 22 vertices has at
+    # most F(24) = 46,368 faces.  The full support does not: Δ_W has
+    # F(25) = 75,025 faces, K^W 2^23 - 75,025 and the Taylor complex more
+    assert "multidegree " + ",".join(map(str, range(1, 24))) + ":" in err
 
 
 def test_homology_cap_names_multidegree(capsys, tmp_path, monkeypatch):
@@ -285,16 +296,19 @@ def test_largest_family_exits_at_cap(capsys, family):
 @pytest.mark.parametrize("family, n, t", [("--cycle", "16", "2"), ("--line", "18", "3")])
 def test_compare_matrices_past_dense_entry_cap(capsys, family, n, t):
     # boundary matrices beyond 2^25 cells, under the face cap: the sparse
-    # reduction answers them
+    # reduction answers them (line 18, t=3 on the Taylor route; cycle 16,
+    # t=2 now takes the 2,207-face Δ_W)
     rc, out, _ = run_cli(capsys, "compare", family, n, "--t", t)
     assert rc == EXIT_OK
     assert out.startswith("MATCH (")
 
 
 def test_compare_past_face_cap_names_multidegree(capsys):
-    rc, out, err = run_cli(capsys, "compare", "--cycle", "17", "--t", "2")
+    # the star with 17 leaves: Δ_W has 2^17 + 1 faces, K^W 2^17 - 1, and
+    # the Taylor complex on its 17 generators is over the cap too
+    rc, out, err = run_cli(capsys, "compare", "--star", "17", "--t", "2")
     assert (rc, out) == (EXIT_SIZE, "")
-    support = ",".join(map(str, range(1, 18)))
+    support = ",".join(map(str, range(1, 19)))
     assert f"multidegree {support}: complex exceeds the 65536 face cap" in err
 
 
