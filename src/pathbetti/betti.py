@@ -13,12 +13,13 @@ leaf peeling (_shape), and once per visit of any other polymer.  A
 polymer's top vector comes from the complex with the smallest bound on
 its size: the strict Taylor complex when W holds fewer than |W| - 1
 generators, else Hochster's complex Δ_W or its Alexander dual K^W,
-whichever is under half of the subsets of W (_top_vector).
-multigraded_betti, multigraded_record and so the homology subcommand stay
-on Taylor, the route that cross-checks the other two.  multigraded_record
-keeps the direct walk over every subset.  The chosen field characteristic
-does not change any table in this package's scope, which the test suite
-checks rather than assumes.
+whichever is under half of the subsets of W (_top_vector), each grown on
+the polymer's bit masks by complexes.grow_faces.  multigraded_betti,
+multigraded_record (a walk over every subset) and so the homology
+subcommand build Taylor by taylor_strict_sub, the route that cross-checks
+the other two.  The chosen field characteristic does not change any
+table in this package's scope, which the test suite checks rather than
+assumes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import DEFAULT_FACE_CAP, SizeCapError
+from .complexes import DEFAULT_FACE_CAP, SizeCapError, grow_faces
 from .graphs import Graph, enumerate_t_paths
 from .homology import DEFAULT_PRIME, homology_of_faces, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, taylor_strict_sub
@@ -85,74 +86,53 @@ def _capped(W: Iterable[int], why: object) -> SizeCapError:
     return SizeCapError(f"multidegree {','.join(map(str, sorted(W)))}: {why}")
 
 
-def _vertex_top(
-    I: MonomialIdeal,
-    W: frozenset[int],
-    dual: bool,
-    p_field: int = DEFAULT_PRIME,
+def _top_vector(C: int, inside: Sequence[int], p_field: int = DEFAULT_PRIME) -> dict[int, int]:
+    """b_{·,C}(S/I) for a vertex mask C and the masks of the generators inside it.
+
+    The complex with the smaller size bound is used: Taylor (2^k faces, k
+    generators) when k < |C| - 1, else Δ_C and then K^C once Δ_C passes
+    half of the subsets of C (|Δ_C| + |K^C| = 2^|C|) or the face cap.
+    """
+    w = C.bit_count()
+    if len(inside) < w - 1:
+        return _top_on("taylor", C, inside, p_field)
+    try:
+        return _top_on("delta", C, inside, p_field, min(1 << (w - 1), DEFAULT_FACE_CAP))
+    except SizeCapError:
+        return _top_on("dual", C, inside, p_field)
+
+
+def _top_on(
+    route: str,
+    C: int,
+    inside: Sequence[int],
+    p_field: int,
     limit: int = DEFAULT_FACE_CAP,
-) -> Optional[dict[int, int]]:
-    """b_{·,W}(S/I) from a complex on the vertices of W; None past limit faces.
+) -> dict[int, int]:
+    """b_{·,C}(S/I) from one complex; SizeCapError past limit faces.
 
-    Δ_W (dual false) holds the subsets of W that contain no generator, and
-    b_{i,W} = dim H~_{|W|-i-1}(Δ_W) (Hochster's formula; Miller &
-    Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12).  K^W (dual
-    true) holds the S ⊆ W whose complement in W contains a generator, and
-    b_{i,W} = dim H~_{i-2}(K^W) (upper Koszul complex; ibid., Thm. 1.34).
-    One depth-first search adds the vertices of W in increasing order, so
-    each face is made once, and the count is checked per face.
+    The strict Taylor complex ("taylor") and K^C ("dual", Miller & Sturmfels,
+    Combinatorial Commutative Algebra, Thm. 1.34) are the Dowker complexes
+    of v ∉ g, given by their facets, and b_{i,C} = dim H~_{i-2} on both.
+    Hochster's Δ_C ("delta", ibid., Cor. 5.12) is given by its minimal
+    non-faces, the generators, and b_{i,C} = dim H~_{|C|-i-1}(Δ_C).
     """
-    pos = {v: k for k, v in enumerate(sorted(W))}
-    w = len(pos)
-    inside = [g for g in I.generators if g <= W]
-    # through[k]: the generators through vertex k as position masks;
-    # hit[k]: the same generators as bits of their index in inside
-    through: list[list[int]] = [[] for _ in range(w)]
-    hit = [0] * w
-    for idx, g in enumerate(inside):
-        mask = sum(1 << pos[v] for v in g)
-        for v in g:
-            through[pos[v]].append(mask)
-            hit[pos[v]] |= 1 << idx
-    # K^W is void when W contains no generator
-    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]} if inside or not dual else {}
-    count = 1
-    # frames (face, its mask, the generators it avoids); a face grows by larger vertices
-    stack = [((), 0, (1 << len(inside)) - 1)]
-    while stack:
-        face, mask, avoided = stack.pop()
-        for k in range(face[-1] + 1 if face else 0, w):
-            grown, rest = mask | 1 << k, avoided & ~hit[k]
-            # Δ: only a generator through k can lie in the grown face
-            if (not rest) if dual else any(g & grown == g for g in through[k]):
-                continue
-            count += 1
-            if count > limit:
-                return None
-            f = face + (k,)
-            faces.setdefault(len(face), []).append(f)
-            stack.append((f, grown, rest))
+    # the vertices of C in increasing order, and the generators as masks of their positions
+    bits, rest = [], C
+    while rest:
+        bits.append(rest & -rest)
+        rest &= rest - 1
+    gens = [sum(1 << k for k, b in enumerate(bits) if b & g) for g in inside]
+    w = len(bits)
+    if route == "taylor":
+        faces = grow_faces(range(len(gens)), limit, facets=(1 << w) - 1, miss=gens)
+    elif route == "dual":
+        miss = [sum(1 << j for j, g in enumerate(gens) if g >> k & 1) for k in range(w)]
+        faces = grow_faces(range(w), limit, facets=(1 << len(gens)) - 1, miss=miss)
+    else:
+        faces = grow_faces(range(w), limit, nonfaces=[[g for g in gens if g >> k & 1] for k in range(w)])
     dims = homology_of_faces(faces, p_field).dims
-    return {p + 2: d for p, d in dims} if dual else {w - 1 - p: d for p, d in dims}
-
-
-def _top_vector(I: MonomialIdeal, W: frozenset[int], p_field: int = DEFAULT_PRIME) -> dict[int, int]:
-    """b_{·,W}(S/I), where W is the union of the generators of I.
-
-    Of the complexes bounded by 2^k faces (Taylor, k generators) and
-    2^(|W|-1) (the smaller of Δ_W and K^W, whose sizes sum to 2^|W|),
-    the one with the smaller bound is used: Δ_W first, then K^W once Δ_W
-    passes half of the subsets of W or the face cap.
-    """
-    w = len(W)
-    if len(I.generators) < w - 1:
-        return multigraded_betti(I, W, p_field)
-    vec = _vertex_top(I, W, False, p_field, min(1 << (w - 1), DEFAULT_FACE_CAP))
-    if vec is None:
-        vec = _vertex_top(I, W, True, p_field)
-    if vec is None:
-        raise _capped(W, f"complex exceeds the {DEFAULT_FACE_CAP} face cap")
-    return vec
+    return {w - 1 - p: d for p, d in dims} if route == "delta" else {p + 2: d for p, d in dims}
 
 
 def multigraded_record(
@@ -243,16 +223,16 @@ def graded_betti_table(
     if t < 1:
         raise ValueError("need t >= 1")
     validate_prime(p_field)
-    # a vertex is its bit in an int mask; gens maps a generator's mask to its support
+    # a vertex is its bit in an int mask, and a generator the mask of its support
     bit = {v: 1 << k for k, v in enumerate(G.vertices)}
     adj: dict[int, list[int]] = {b: [] for b in bit.values()}
     for u, v in G.edges:
         adj[bit[u]].append(bit[v])
         adj[bit[v]].append(bit[u])
     nbr = {b: sum(us) for b, us in adj.items()}
-    gens = {sum(map(bit.get, g)): g for g in enumerate_t_paths(G, t)}
     through: dict[int, list[int]] = {b: [] for b in adj}
-    for mask, g in gens.items():
+    for g in enumerate_t_paths(G, t):
+        mask = sum(map(bit.get, g))
         for v in g:
             through[bit[v]].append(mask)
     full = sum(b for b, masks in through.items() if masks)
@@ -267,8 +247,10 @@ def graded_betti_table(
         key = _shape(C, nbr, ids)
         if key in tops:
             return tops[key]
-        I = MonomialIdeal(G.n, t, tuple(gens[mask] for mask in inside))
-        vec = _top_vector(I, frozenset().union(*I.generators), p_field)
+        try:
+            vec = _top_vector(C, inside, p_field)
+        except SizeCapError as exc:
+            raise _capped((v for v, b in bit.items() if b & C), exc) from exc
         if key is not None:
             tops[key] = vec
         return vec

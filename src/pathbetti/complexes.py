@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 Face = tuple[int, ...]
 
@@ -106,27 +106,45 @@ def enumerate_faces(K: SimplicialComplex, p: int, cap: int = DEFAULT_FACE_CAP) -
 
 
 def faces_by_dim(K: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> dict[int, list[Face]]:
-    """Expand all faces of K, grouped by dimension and sorted within each.
+    """Faces of K by dimension, each sorted; SizeCapError past ``cap`` faces, the empty one included."""
+    labels = sorted(K.vertices)
+    miss = [sum(1 << i for i, f in enumerate(K.facets) if v not in f) for v in labels]
+    return grow_faces(labels, cap, facets=(1 << len(K.facets)) - 1, miss=miss)
 
-    The total face count (including the empty face) is capped; exceeding
-    the cap raises SizeCapError before memory is committed.
+
+def grow_faces(
+    labels: Sequence[int],
+    cap: int = DEFAULT_FACE_CAP,
+    facets: int = 0,
+    miss: Optional[Sequence[int]] = None,
+    nonfaces: Sequence[Sequence[int]] = (),
+) -> dict[int, list[Face]]:
+    """Faces on the increasing labels, grouped by dimension, each made once.
+
+    By facets, ``facets`` is their bit set and ``miss[k]`` those lacking
+    element k; a set is a face while some facet holds it all.  By minimal
+    non-faces (``miss`` None), ``nonfaces[k]`` lists those through element
+    k as position masks.  A depth-first search adds larger elements and
+    pops the smallest child first, so every dimension comes out sorted.
+    More than ``cap`` faces, the empty face included, raise SizeCapError.
     """
-    if K.is_void:
-        return {}
-    out: set[Face] = set()
-    for facet in K.facets:
-        base = sorted(facet)
-        for size in range(len(base) + 1):
-            for comb in combinations(base, size):
-                out.add(comb)
-                if len(out) > cap:
-                    raise SizeCapError(f"complex exceeds the {cap} face cap")
-    grouped: dict[int, list[Face]] = {}
-    for face in out:
-        grouped.setdefault(len(face) - 1, []).append(face)
-    for p in grouped:
-        grouped[p].sort()
-    return grouped
+    faces: dict[int, list[Face]] = {}
+    count = 0
+    # frames (face, first free position, the facets holding it or its position mask);
+    # with no facets even the empty face is missing
+    stack = [((), 0, facets)] if miss is None or facets else []
+    while stack:
+        face, start, state = stack.pop()
+        count += 1
+        if count > cap:
+            raise SizeCapError(f"complex exceeds the {cap} face cap")
+        faces.setdefault(len(face) - 1, []).append(face)
+        for k in range(len(labels) - 1, start - 1, -1):
+            grown = state | 1 << k if miss is None else state & ~miss[k]
+            # only a non-face through k can lie in the grown face
+            if (not any(g & grown == g for g in nonfaces[k])) if miss is None else grown:
+                stack.append((face + (labels[k],), k + 1, grown))
+    return faces
 
 
 def is_cone(K: SimplicialComplex) -> Optional[int]:

@@ -227,7 +227,8 @@ def test_iso_memo(monkeypatch):
     top_vector = betti._top_vector
 
     def counted(*args, **kwargs):
-        seen.append(args[1])
+        # the polymer's vertex mask; bit k is vertex k + 1
+        seen.append(frozenset(k + 1 for k in range(args[0].bit_length()) if args[0] >> k & 1))
         return top_vector(*args, **kwargs)
 
     monkeypatch.setattr(betti, "_top_vector", counted)
@@ -367,13 +368,50 @@ def test_top_vector_routes_agree():
                 for W, J in _polymers(G, I):
                     route = "taylor" if len(J.generators) < len(W) - 1 else "delta"
                     checked[route] += 1
+                    # vertex v is bit v - 1, a generator the mask of its support
+                    C = sum(1 << (v - 1) for v in W)
+                    inside = [sum(1 << (v - 1) for v in g) for g in J.generators]
                     for prime in (2, 32003):
                         want = multigraded_betti(I, W, prime)
-                        assert betti._vertex_top(J, W, False, prime) == want, (G, t, W, prime)
-                        assert betti._vertex_top(J, W, True, prime) == want, (G, t, W, prime)
-                        assert betti._top_vector(J, W, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("taylor", C, inside, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("delta", C, inside, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("dual", C, inside, prime) == want, (G, t, W, prime)
+                        assert betti._top_vector(C, inside, prime) == want, (G, t, W, prime)
                     checked["nonzero"] += bool(want)
     assert min(checked.values()) >= 100, checked
+
+
+def test_top_vectors_build_no_simplicial_complex(monkeypatch):
+    # every route grows its complex on the polymer's masks: none goes through
+    # the ideal's Taylor complex, make_complex or faces_by_dim
+    from pathbetti import complexes, homology, ideals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a top vector went through a SimplicialComplex")
+
+    for module, name in (
+        (betti, "multigraded_betti"),
+        (betti, "taylor_strict_sub"),
+        (ideals, "taylor_strict_sub"),
+        (ideals, "make_complex"),
+        (complexes, "make_complex"),
+        (complexes, "faces_by_dim"),
+        (homology, "faces_by_dim"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    routes = []
+    top_on = betti._top_on
+
+    def recorded(route, *args, **kwargs):
+        routes.append(route)
+        return top_on(route, *args, **kwargs)
+
+    monkeypatch.setattr(betti, "_top_on", recorded)
+    for family, n, t, route in (("line", 14, 3, "taylor"), ("cycle", 17, 2, "delta"), ("star", 10, 2, "dual")):
+        routes.clear()
+        got = graded_betti_table(standard_graph(family, n), t).as_dict()
+        assert got == formula_betti_table(family, n, t).table.as_dict(), (family, n, t)
+        assert route in routes, (family, n, t, routes)
 
 
 def test_vertex_side_answers_past_taylor_cap():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_complex
 from pathbetti import (
     SimplicialComplex,
+    SizeCapError,
     boundary_complex,
     cone,
     enumerate_faces,
@@ -21,6 +22,7 @@ from pathbetti import (
     omega_complex,
     union,
 )
+from pathbetti.complexes import grow_faces
 
 facet_families = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), max_size=5),
@@ -113,14 +115,53 @@ def test_enumerate_faces_omega_5_2():
     assert enumerate_faces(K, 3) == []
 
 
-@given(facet_families)
-@settings(max_examples=60)
-def test_faces_by_dim_matches_enumerate(fam):
-    K = make_complex(fam)
-    table = faces_by_dim(K)
-    top = max(table) if table else -2
-    for p in range(-1, top + 2):
-        assert table.get(p, []) == enumerate_faces(K, p)
+def _expand(K):
+    """Every subset of every facet, deduplicated and sorted per dimension."""
+    out = {}
+    for face in {c for f in K.facets for size in range(len(f) + 1) for c in combinations(sorted(f), size)}:
+        out.setdefault(len(face) - 1, []).append(face)
+    return {p: sorted(fs) for p, fs in out.items()}
+
+
+def test_faces_by_dim_matches_enumerate():
+    rng = random.Random(2718)
+    complexes = [make_complex([]), make_complex([[]]), make_complex([[0, 3], [0, 1, 2]])]
+    complexes += [random_complex(rng) for _ in range(300)]
+    for K in complexes:
+        table = faces_by_dim(K)
+        assert table == _expand(K), K
+        top = max(table) if table else -2
+        for p in range(-2, top + 2):
+            assert enumerate_faces(K, p) == table.get(p, []), (K, p)
+    # the cap counts every face, the empty one included: the simplex on
+    # four vertices has 16, one more vertex beside it makes 17
+    simplex = make_complex([[1, 2, 3, 4]])
+    assert sum(map(len, faces_by_dim(simplex, cap=16).values())) == 16
+    with pytest.raises(SizeCapError, match="complex exceeds the 16 face cap"):
+        faces_by_dim(make_complex([[1, 2, 3, 4], [5]]), cap=16)
+
+
+def test_grow_faces_is_lexicographic():
+    # both forms, against brute force over all subsets of the elements
+    rng = random.Random(1414)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        subsets = [c for size in range(n + 1) for c in combinations(range(n), size)]
+        masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))] if n else []
+        facets = [[k for k in range(n) if m >> k & 1] for m in masks]
+        miss = [sum(1 << i for i, f in enumerate(facets) if k not in f) for k in range(n)]
+        by_facets = grow_faces(range(n), facets=(1 << len(facets)) - 1, miss=miss)
+        nonfaces = [[m for m in masks if m >> k & 1] for k in range(n)]
+        by_nonfaces = grow_faces(range(n), nonfaces=nonfaces)
+        want_facets = [c for c in subsets if any(set(c) <= set(f) for f in facets)]
+        want_nonfaces = [c for c in subsets if not any(set(f) <= set(c) for f in facets)]
+        for got, want in ((by_facets, want_facets), (by_nonfaces, want_nonfaces)):
+            for p, fs in got.items():
+                assert fs == sorted(fs), (masks, p)
+            assert got == {p: sorted(c for c in want if len(c) == p + 1) for p in {len(c) - 1 for c in want}}
+    # labels stand in for the positions, in the same order
+    assert grow_faces([3, 5], facets=1, miss=[0, 0]) == {-1: [()], 0: [(3,), (5,)], 1: [(3, 5)]}
+    assert grow_faces([3, 5], facets=0, miss=[0, 0]) == {}
 
 
 def test_omega_complex_small_cases():
