@@ -24,6 +24,7 @@ assumes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -75,6 +76,11 @@ def multigraded_betti(
     ms = frozenset(m)
     if not is_lcm_closed(I, ms):
         return {}
+    # the facet of a vertex avoided by k generators alone has 2^k faces
+    inside = [g for g in I.generators if g <= ms]
+    degree = Counter(v for g in inside for v in g)
+    if ms and len(inside) - min(degree[v] for v in ms) >= DEFAULT_FACE_CAP.bit_length():
+        raise _capped(ms, f"complex exceeds the {DEFAULT_FACE_CAP} face cap")
     try:
         profile = reduced_homology_dims(taylor_strict_sub(I, ms), p_field)
     except SizeCapError as exc:
@@ -212,13 +218,14 @@ def graded_betti_table(
     of pairwise non-adjacent polymers (connected lcm-closed sets).  With
     v = min U, T(U) = T(U - v) + sum over polymers C of U containing v of
     y^|C| top(C) T(U - C - N(C)), from the vertices on a t-path down to
-    T({}) = 1.  top(C) is computed by _top_vector, on the strict Taylor
-    complex, Δ_C or K^C, whichever has the smallest bound; a SizeCapError
-    names C when that complex is over the face cap.  Top vectors of cliques,
-    trees and unicyclic polymers are cached under the key of _shape, so
-    homology runs once per isomorphism class of those; any other polymer
-    runs homology on each visit.  Explicit stacks keep the call depth
-    constant.  use_memo has no effect.
+    T({}) = 1.  top(C) is computed by _top_vector from C and its generator
+    masks, on the strict Taylor complex, Δ_C or K^C, whichever has the
+    smallest bound, each grown by grow_faces with no SimplicialComplex; a
+    SizeCapError names C when that complex is over the face cap.  Top
+    vectors of cliques, trees and unicyclic polymers are cached under the
+    key of _shape, so homology runs once per isomorphism class of those;
+    any other polymer runs homology on each visit.  Explicit stacks keep
+    the call depth constant.  use_memo has no effect.
     """
     if t < 1:
         raise ValueError("need t >= 1")

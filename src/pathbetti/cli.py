@@ -17,7 +17,7 @@ from typing import Iterator
 from .betti import BettiTable, graded_betti_table, multigraded_betti
 from .complexes import DEFAULT_FACE_CAP, SizeCapError, omega_complex
 from .formulas import UnsupportedFormulaError, formula_betti_table, omega_homology_dims_formula
-from .graphs import Graph, enumerate_t_paths, graph_from_json, standard_graph
+from .graphs import MAX_VERTICES, Graph, enumerate_t_paths, graph_from_json, standard_graph
 from .homology import DEFAULT_PRIME, reduced_homology_dims, validate_prime
 from .ideals import ideal_lcm, path_ideal
 
@@ -133,6 +133,9 @@ def cmd_omega(args) -> int:
         raise SizeCapError(
             f"omega n={args.n}, t={args.t}: one facet exceeds the {DEFAULT_FACE_CAP} face cap"
         )
+    # the complex and its universe list all n labels, whatever t is
+    if want_oracle and args.n > MAX_VERTICES:
+        raise ValueError(f"omega n={args.n} exceeds the limit of {MAX_VERTICES}")
     oracle = (
         reduced_homology_dims(omega_complex(args.n, args.t), args.prime).as_dict()
         if want_oracle

@@ -10,7 +10,9 @@ as boundary cases throughout the package:
 
 Faces are realized as sorted tuples of vertex labels and all enumeration
 orders are fixed (lexicographic on sorted vertex lists), so every operation
-here is deterministic.
+here is deterministic.  grow_faces is the one face enumerator: a
+depth-first search on bit masks that grows a complex from its facets or
+from its minimal non-faces.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ def is_prime(n: int) -> bool:
 
 
 def validate_prime(p: int) -> int:
-    if not is_prime(p) or p >= 1 << 31:
+    # the bound first: trial division of a large prime would take hours
+    if not isinstance(p, int) or p >= 1 << 31 or not is_prime(p):
         raise ValueError(f"field characteristic must be a prime below 2^31, got {p}")
     return p
 
@@ -204,9 +205,10 @@ def homology_of_faces(faces: Mapping[int, list[Face]], p_field: int = DEFAULT_PR
 
     ``faces`` maps p to every p-face, each a tuple of vertices in
     increasing order, and holds the empty face under -1 unless the complex
-    is void ({}).  The order within a dimension is free: the reduction
-    only needs the p-faces in one order as rows of d_{p+1} and columns of
-    d_p.
+    is void ({}).  Any order within a dimension gives the same numbers,
+    since the reduction only needs the p-faces in one order as rows of
+    d_{p+1} and columns of d_p; the order sets the work, and every caller
+    here passes the lexicographic order of complexes.grow_faces.
     """
     validate_prime(p_field)
     if not faces:

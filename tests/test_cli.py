@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -414,3 +415,65 @@ def test_formula_cycle_table_has_top_degree(capsys):
         "  3 . . . . . 1\n"
     )
     assert "note" not in out
+
+
+def test_prime_bound_checked_before_trial_division(capsys):
+    # 2^61 - 1 is prime: trial division up to its square root would run for hours
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "betti", "--line", "4", "--t", "2", "--prime", "2305843009213693951")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "2305843009213693951" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_omega_oracle_vertex_limit(capsys, monkeypatch):
+    from pathbetti.graphs import MAX_VERTICES
+
+    def refuse(n, t):
+        raise AssertionError("omega_complex called")
+
+    # n - t = 10 passes the face-cap check; n itself is over the limit
+    monkeypatch.setattr(cli, "omega_complex", refuse)
+    for method in ("oracle", "both"):
+        rc, out, err = run_cli(capsys, "omega", "--n", "5000", "--t", "4990", "--method", method)
+        assert (rc, out) == (EXIT_USAGE, ""), method
+        assert f"n=5000 exceeds the limit of {MAX_VERTICES}" in err
+    # the formula route is O(1) and stays unbounded
+    rc, out, _ = run_cli(capsys, "omega", "--n", "5000", "--t", "4990", "--method", "formula")
+    assert (rc, out) == (EXIT_OK, "all zero\n")
+
+
+def test_homology_cap_checked_before_taylor(capsys, monkeypatch):
+    from pathbetti import betti
+
+    def refuse(I, m):
+        raise AssertionError("taylor_strict_sub called")
+
+    # vertex 1 is avoided by 4,094 generators, so its facet alone is over the cap
+    monkeypatch.setattr(betti, "taylor_strict_sub", refuse)
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "homology", "--line", "4096", "--t", "2")
+    assert (rc, out) == (EXIT_SIZE, "")
+    support = ",".join(map(str, range(1, 4097)))
+    assert f"multidegree {support}: complex exceeds the 65536 face cap" in err
+    assert time.perf_counter() - start < 2.0
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ pathbetti ...` sh block of README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```sh\n")[1:]
+    out = []
+    for block in (b.split("```", 1)[0] for b in blocks):
+        first, _, rest = block.partition("\n")
+        if first.startswith("$ pathbetti "):
+            out.append((first.split()[2:], rest))
+    return out
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for argv, want in examples:
+        rc, out, _ = run_cli(capsys, *argv)
+        assert (rc, out) == (EXIT_OK, want), argv
