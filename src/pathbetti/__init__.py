@@ -51,8 +51,6 @@ from .graphs import (
 from .homology import (
     DEFAULT_PRIME,
     HomologyProfile,
-    PrimeFieldMatrix,
-    boundary_matrix,
     is_prime,
     reduced_euler_characteristic,
     reduced_homology_dims,

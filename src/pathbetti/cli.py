@@ -136,11 +136,12 @@ def cmd_omega(args) -> int:
     # the complex and its universe list all n labels, whatever t is
     if want_oracle and args.n > MAX_VERTICES:
         raise ValueError(f"omega n={args.n} exceeds the limit of {MAX_VERTICES}")
-    oracle = (
-        reduced_homology_dims(omega_complex(args.n, args.t), args.prime).as_dict()
-        if want_oracle
-        else {}
-    )
+    oracle = {}
+    if want_oracle:
+        try:
+            oracle = reduced_homology_dims(omega_complex(args.n, args.t), args.prime).as_dict()
+        except SizeCapError as exc:
+            raise SizeCapError(f"omega n={args.n}, t={args.t}: {exc}") from exc
     formula = omega_homology_dims_formula(args.n, args.t) if want_formula else {}
     if args.method == "both":
         degrees = sorted(set(oracle) | set(formula))

@@ -27,7 +27,7 @@ DEFAULT_FACE_CAP = 1 << 16
 
 
 class SizeCapError(Exception):
-    """A complex exceeded the face cap, or a dense matrix its entry cap."""
+    """A complex exceeded the face cap."""
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ every p-face that was a pivot row of d_{p+1}: such a column is a
 combination of earlier columns because d_p d_{p+1} = 0, so the rank does
 not change (Chen and Kerber, "Persistent homology computation with a
 twist", 2011).  ``reduced_homology_dims`` feeds it the faces of a complex
-given by its facets.  The reduction never allocates rows x cols cells, so
-the face cap, checked while the faces are enumerated and before any
-reduction, is the only bound on the work.
+given by its facets.  A boundary map exists only as the sparse columns
+that ``_boundary_column`` builds one face at a time; no matrix object or
+rows x cols array is ever formed, so the face cap, checked while the faces
+are enumerated and before any reduction, is the only bound on the work.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Mapping
 
-from .complexes import DEFAULT_FACE_CAP, Face, SimplicialComplex, SizeCapError, faces_by_dim
+from .complexes import DEFAULT_FACE_CAP, Face, SimplicialComplex, faces_by_dim
 
 DEFAULT_PRIME = 32003
-MATRIX_ENTRY_CAP = 1 << 25
 
 
 def is_prime(n: int) -> bool:
@@ -52,60 +52,19 @@ def validate_prime(p: int) -> int:
     return p
 
 
-class PrimeFieldMatrix:
-    """Sparse integer matrix over GF(prime) with a deterministic rank.
-
-    Entries are stored as a dict keyed by (row, col); values are reduced
-    mod prime and zeros are dropped.  ``rank`` groups the entries into
-    columns and runs the module's one sparse column reduction.
-    ``to_dense`` rejects matrices with more than MATRIX_ENTRY_CAP cells.
-    """
-
-    __slots__ = ("nrows", "ncols", "prime", "entries")
-
-    def __init__(self, nrows: int, ncols: int, prime: int, entries: Mapping[tuple[int, int], int]):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.prime = prime
-        cleaned: dict[tuple[int, int], int] = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
-            v %= prime
-            if v:
-                cleaned[(r, c)] = v
-        self.entries = cleaned
-
-    def to_dense(self):
-        """The matrix as a numpy int64 array (numpy is imported on first use)."""
-        import numpy as np
-
-        if self.nrows * self.ncols > MATRIX_ENTRY_CAP:
-            raise SizeCapError(
-                f"matrix ({self.nrows}x{self.ncols}) exceeds the {MATRIX_ENTRY_CAP} entry cap"
-            )
-        A = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            A[r, c] = v
-        return A
-
-    def rank(self) -> int:
-        if not self.entries:
-            return 0
-        columns: dict[int, dict[int, int]] = {}
-        for (r, c), v in self.entries.items():
-            columns.setdefault(c, {})[r] = v
-        return len(_reduce_columns((columns[c] for c in sorted(columns)), self.prime))
-
-
 def _reduce_columns(columns: Iterable[dict[int, int]], prime: int) -> dict[int, dict[int, int]]:
     """Column reduction over GF(prime), left to right.
 
-    Each column maps row -> nonzero value and is consumed.  Its pivot is
-    its largest row.  A column whose pivot is taken is reduced by the
-    stored column there until it vanishes or reaches a free pivot, where it
-    is stored scaled to a pivot entry of 1.  Returns pivot row -> stored
+    Each column maps row -> value and is consumed.  Its pivot is its
+    largest row.  A column whose pivot is taken is reduced by the stored
+    column there until it vanishes or reaches a free pivot, where it is
+    stored scaled to a pivot entry of 1.  Returns pivot row -> stored
     column; the number of pivots is the rank.
+
+    Every value must be nonzero and already reduced mod prime; nothing
+    checks this.  A multiple of prime would be stored as a false pivot, and
+    a later column with that pivot would never vanish.  The boundary
+    columns here hold only 1 and prime - 1.
     """
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -134,31 +93,6 @@ def _boundary_column(face: Face, row_index: Mapping[Face, int], prime: int) -> d
         row_index[face[:k] + face[k + 1:]]: 1 if k % 2 == 0 else prime - 1
         for k in range(len(face))
     }
-
-
-def boundary_matrix(
-    K: SimplicialComplex,
-    p: int,
-    prime: int = DEFAULT_PRIME,
-    faces: dict[int, list[Face]] | None = None,
-) -> PrimeFieldMatrix:
-    """The boundary map from p-chains to (p-1)-chains as a matrix.
-
-    Rows are (p-1)-faces and columns p-faces, both in lexicographic order.
-    Degree 0 is the augmentation: every vertex maps to the empty face.
-    """
-    validate_prime(prime)
-    if faces is None:
-        faces = faces_by_dim(K)
-    rows = faces.get(p - 1, [])
-    cols = faces.get(p, [])
-    row_index = {f: i for i, f in enumerate(rows)}
-    entries = {
-        (r, j): v
-        for j, face in enumerate(cols)
-        for r, v in _boundary_column(face, row_index, prime).items()
-    }
-    return PrimeFieldMatrix(len(rows), len(cols), prime, entries)
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,13 @@ def test_omega_oracle_cap_checked_before_building(capsys, monkeypatch):
     assert rc == EXIT_OK
 
 
+def test_omega_oracle_cap_names_n_and_t(capsys):
+    # one facet fits under the face cap; the whole complex does not
+    rc, out, err = run_cli(capsys, "omega", "--n", "22", "--t", "6", "--method", "oracle")
+    assert (rc, out) == (EXIT_SIZE, "")
+    assert "omega n=22, t=6: complex exceeds the 65536 face cap" in err
+
+
 def test_huge_family_size_is_usage_error(capsys):
     from pathbetti.graphs import MAX_VERTICES
 

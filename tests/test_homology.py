@@ -2,21 +2,19 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_acyclic, random_complex
+from conftest import boundary_columns, composite_boundary_columns, random_acyclic, random_complex
 from pathbetti import (
     DEFAULT_PRIME,
     HomologyProfile,
-    PrimeFieldMatrix,
     SizeCapError,
     boundary_complex,
-    boundary_matrix,
     cone,
     enumerate_faces,
+    faces_by_dim,
     intersection,
     is_cone,
     make_complex,
@@ -26,6 +24,7 @@ from pathbetti import (
     union,
     validate_prime,
 )
+from pathbetti.homology import _reduce_columns
 
 facet_families = st.lists(
     st.lists(st.integers(min_value=0, max_value=6), max_size=4),
@@ -68,12 +67,9 @@ def test_boundary_of_boundary_is_zero(fam):
     K = make_complex(fam)
     if K.is_void:
         return
-    top = max(len(f) for f in K.facets) - 1
     for prime in PRIMES:
-        for p in range(0, top + 1):
-            D_p = boundary_matrix(K, p, prime).to_dense()
-            D_q = boundary_matrix(K, p + 1, prime).to_dense()
-            assert not ((D_p @ D_q) % prime).any()
+        for p, col in composite_boundary_columns(K, prime):
+            assert not col, (p, prime)
 
 
 @given(facet_families)
@@ -133,14 +129,35 @@ def test_field_independence_on_window_complexes():
             assert a == b
 
 
+def gf_rank(columns, prime: int) -> int:
+    """Rank over GF(prime) of the matrix with these sparse columns (row -> integer).
+
+    Entries are reduced mod prime and zeros dropped first, as _reduce_columns
+    requires of its input.
+    """
+    cleaned = ({r: v % prime for r, v in col.items() if v % prime} for col in columns)
+    return len(_reduce_columns(cleaned, prime))
+
+
+def columns_of(rows: list[list[int]]) -> list[dict[int, int]]:
+    """The sparse columns of the matrix with these dense rows."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]) if rows else 0)]
+
+
+def test_gf_rank_reduces_entries_mod_p():
+    # multiples of p vanish; other entries are taken mod p
+    assert gf_rank([{0: 10}], 5) == 0
+    assert gf_rank([{0: -4}], 5) == 1
+
+
 def test_rank_basics():
-    assert PrimeFieldMatrix(3, 3, 5, {(i, i): 1 for i in range(3)}).rank() == 3
-    assert PrimeFieldMatrix(4, 2, 7, {}).rank() == 0
-    assert PrimeFieldMatrix(2, 2, 5, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4}).rank() == 1
-    assert PrimeFieldMatrix(2, 2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}).rank() == 1
+    assert gf_rank([{0: 1}, {1: 1}, {2: 1}], 5) == 3
+    assert gf_rank([{}, {}], 7) == 0
+    assert gf_rank(columns_of([[1, 2], [2, 4]]), 5) == 1
+    assert gf_rank(columns_of([[1, 1], [1, 1]]), 2) == 1
     # 2x2 with determinant divisible by 5 only
-    assert PrimeFieldMatrix(2, 2, 5, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1}).rank() == 1
-    assert PrimeFieldMatrix(2, 2, 7, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1}).rank() == 2
+    assert gf_rank(columns_of([[1, 2], [3, 1]]), 5) == 1
+    assert gf_rank(columns_of([[1, 2], [3, 1]]), 7) == 2
 
 
 def dense_rank(rows: list[list[int]], prime: int) -> int:
@@ -176,8 +193,7 @@ def test_rank_matches_dense_reference():
                 # a row combination keeps the rank below full
                 k = rng.randrange(1, prime)
                 rows[-1] = [a + k * b for a, b in zip(rows[0], rows[1])]
-            entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
-            assert PrimeFieldMatrix(r, c, prime, entries).rank() == dense_rank(rows, prime)
+            assert gf_rank(columns_of(rows), prime) == dense_rank(rows, prime)
 
 
 def test_rank_equals_transpose_rank():
@@ -185,42 +201,19 @@ def test_rank_equals_transpose_rank():
     for prime in PRIMES:
         for _ in range(25):
             r, c = rng.randint(1, 10), rng.randint(1, 10)
-            entries = {
-                (i, j): rng.randrange(prime)
-                for i in range(r)
-                for j in range(c)
-                if rng.random() < 0.5
-            }
-            M = PrimeFieldMatrix(r, c, prime, entries)
-            Mt = PrimeFieldMatrix(c, r, prime, {(j, i): v for (i, j), v in entries.items()})
-            assert M.rank() == Mt.rank()
+            rows = [[rng.randrange(prime) if rng.random() < 0.5 else 0 for _ in range(c)] for _ in range(r)]
+            assert gf_rank(columns_of(rows), prime) == gf_rank(columns_of(list(zip(*rows))), prime)
 
 
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        PrimeFieldMatrix(2, 2, 5, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        PrimeFieldMatrix(2, 2, 5, {(0, 2): 1})
-    # entries are reduced mod p; multiples of p vanish
-    assert PrimeFieldMatrix(1, 1, 5, {(0, 0): 10}).rank() == 0
-
-
-def test_boundary_matrix_triangle():
-    K = make_complex([[1, 2, 3]])
-    D1 = boundary_matrix(K, 1, 5)
-    # rows: vertices (1),(2),(3); cols: edges (1,2),(1,3),(2,3)
-    assert (D1.nrows, D1.ncols) == (3, 3)
-    assert D1.entries == {
-        (0, 0): 4, (1, 0): 1,
-        (0, 1): 4, (2, 1): 1,
-        (1, 2): 4, (2, 2): 1,
-    }
-    D0 = boundary_matrix(K, 0, 5)
-    assert (D0.nrows, D0.ncols) == (1, 3)
-    assert D0.entries == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
-    faces = {p: enumerate_faces(K, p) for p in (1, 2)}
-    D2 = boundary_matrix(K, 2, 5, faces=faces)
-    assert (D2.nrows, D2.ncols) == (3, 1)
+def test_boundary_column_triangle():
+    faces = faces_by_dim(make_complex([[1, 2, 3]]))
+    # the facet without vertex k enters with sign (-1)^k, and -1 is 4 over GF(5)
+    # rows: vertices (1),(2),(3); columns: edges (1,2),(1,3),(2,3)
+    assert boundary_columns(faces, 1, 5) == [{0: 4, 1: 1}, {0: 4, 2: 1}, {1: 4, 2: 1}]
+    # every vertex maps to the empty face
+    assert boundary_columns(faces, 0, 5) == [{0: 1}, {0: 1}, {0: 1}]
+    # (1,2,3) -> (2,3) - (1,3) + (1,2)
+    assert boundary_columns(faces, 2, 5) == [{2: 1, 1: 4, 0: 1}]
 
 
 def test_validate_prime():
@@ -243,31 +236,30 @@ def test_face_count_cap():
         reduced_homology_dims(boundary_complex(4), cap=3)
 
 
-def test_matrix_entry_cap():
-    # only the dense copy allocates rows x cols cells; the sparse rank does not
-    M = PrimeFieldMatrix(6000, 6000, 32003, {(0, 0): 1})
-    with pytest.raises(SizeCapError):
-        M.to_dense()
-    assert M.rank() == 1
+def test_rank_of_tall_sparse_column():
+    # the reduction keeps only the entries, never rows x cols cells
+    assert len(_reduce_columns([{5999: 1}], DEFAULT_PRIME)) == 1
 
 
 def test_face_cap_alone_bounds_rank_work():
     # the largest boundary complex under the face cap (2^16 - 1 faces);
-    # its 12870x11440 middle matrix is past the dense entry cap
+    # the sparse reduction never allocates the 147 million cells of its
+    # 12870x11440 middle matrix
     assert reduced_homology_dims(boundary_complex(16)).as_dict() == {14: 1}
 
 
 @pytest.mark.parametrize("prime", PRIMES)
 def test_clearing_matches_full_ranks(prime):
-    # reduced_homology_dims skips cleared columns; boundary_matrix().rank()
-    # reduces every column of each d_p on its own
+    # reduced_homology_dims skips cleared columns; the reference reduces
+    # every boundary column of each d_p on its own
     rng = random.Random(23)
     for _ in range(60):
         K = random_complex(rng, max_vertices=8, max_facets=6)
         if K.is_void:
             continue
         top = max(len(f) for f in K.facets) - 1
-        ranks = {p: boundary_matrix(K, p, prime).rank() for p in range(0, top + 2)}
+        faces = faces_by_dim(K)
+        ranks = {p: len(_reduce_columns(boundary_columns(faces, p, prime), prime)) for p in range(0, top + 2)}
         want = {}
         for p in range(-1, top + 1):
             d = len(enumerate_faces(K, p)) - ranks.get(p, 0) - ranks[p + 1]
@@ -277,6 +269,6 @@ def test_clearing_matches_full_ranks(prime):
 
 
 def test_zero_row_zero_col_matrices():
-    assert PrimeFieldMatrix(0, 5, 5, {}).rank() == 0
-    assert PrimeFieldMatrix(5, 0, 5, {}).rank() == 0
-    assert PrimeFieldMatrix(0, 0, 2, {}).rank() == 0
+    assert gf_rank([{} for _ in range(5)], 5) == 0  # 0 x 5
+    assert gf_rank(columns_of([[] for _ in range(5)]), 5) == 0  # 5 x 0
+    assert gf_rank([], 2) == 0  # 0 x 0
