@@ -1,8 +1,10 @@
 """Betti tables of path ideals of graphs.
 
-Two independent routes to the same numbers: a brute-force oracle (strict
-Taylor subcomplex homology over a prime field) and closed formulas for
-lines, cycles, and stars.  The CLI front end lives in pathbetti.cli.
+Two independent routes to the same numbers: a brute-force oracle (reduced
+homology over a prime field of the strict Taylor subcomplex, Hochster's
+complex Δ_W or its Alexander dual K^W, whichever is smallest) and closed
+formulas for lines, cycles, and stars.  The CLI front end lives in
+pathbetti.cli.
 """
 
 from .betti import (
@@ -17,7 +19,6 @@ from .complexes import (
     SizeCapError,
     boundary_complex,
     cone,
-    enumerate_faces,
     faces_by_dim,
     facet_vertex_matching,
     intersection,
@@ -34,7 +35,6 @@ from .formulas import (
     formula_betti_table,
     line_graded_formula,
     line_multigraded_formula,
-    line_top_betti_formula,
     omega_homology_dims_formula,
     star_graded_formula,
 )
@@ -50,7 +50,6 @@ from .graphs import (
 )
 from .homology import (
     DEFAULT_PRIME,
-    HomologyProfile,
     is_prime,
     reduced_euler_characteristic,
     reduced_homology_dims,

@@ -42,13 +42,12 @@ class BettiTable:
     Every table contains the unit entry (0, 0) -> 1 for S itself.
     """
 
-    ambient_n: int
     entries: tuple[tuple[tuple[int, int], int], ...]
 
     @classmethod
-    def from_dict(cls, ambient_n: int, data: Mapping[tuple[int, int], int]) -> "BettiTable":
+    def from_dict(cls, data: Mapping[tuple[int, int], int]) -> "BettiTable":
         items = tuple(sorted((ij, b) for ij, b in data.items() if b))
-        return cls(ambient_n=ambient_n, entries=items)
+        return cls(entries=items)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
@@ -85,7 +84,7 @@ def multigraded_betti(
         profile = reduced_homology_dims(taylor_strict_sub(I, ms), p_field)
     except SizeCapError as exc:
         raise _capped(ms, exc) from exc
-    return {p + 2: d for p, d in profile.dims}
+    return {p + 2: d for p, d in profile.items()}
 
 
 def _capped(W: Iterable[int], why: object) -> SizeCapError:
@@ -137,7 +136,7 @@ def _top_on(
         faces = grow_faces(range(w), limit, facets=(1 << len(gens)) - 1, miss=miss)
     else:
         faces = grow_faces(range(w), limit, nonfaces=[[g for g in gens if g >> k & 1] for k in range(w)])
-    dims = homology_of_faces(faces, p_field).dims
+    dims = homology_of_faces(faces, p_field).items()
     return {w - 1 - p: d for p, d in dims} if route == "delta" else {p + 2: d for p, d in dims}
 
 
@@ -306,7 +305,7 @@ def graded_betti_table(
                 for k, c in vec.items():
                     acc[(i + k, j + size)] = acc.get((i + k, j + size), 0) + b * c
         tables[U] = acc
-    return BettiTable.from_dict(G.n, tables[full])
+    return BettiTable.from_dict(tables[full])
 
 
 def top_betti_product(vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:

@@ -17,7 +17,7 @@ from its minimal non-faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -35,14 +35,11 @@ class SimplicialComplex:
     """Immutable facet-antichain representation of a simplicial complex.
 
     ``facets`` is canonically ordered (lexicographic on sorted vertex
-    tuples) and forms an antichain.  ``universe`` is bookkeeping only: it
-    may list labels that appear in no facet (the sliding-window complexes
-    use this) and is ignored by equality and hashing.  A vertex of the
-    complex is a label that appears in some facet.
+    tuples) and forms an antichain.  A vertex of the complex is a label
+    that appears in some facet.
     """
 
     facets: tuple[frozenset[int], ...]
-    universe: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def is_void(self) -> bool:
@@ -66,10 +63,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(<{inner}>)"
 
 
-def _face_key(f: Iterable[int]) -> Face:
-    return tuple(sorted(f))
-
-
 def make_complex(facet_candidates: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Build a complex from generating faces, keeping only maximal ones.
 
@@ -91,20 +84,8 @@ def make_complex(facet_candidates: Iterable[Iterable[int]]) -> SimplicialComplex
     for fs in sorted(seen, key=len, reverse=True):
         if not any(fs < kept for kept in maximal):
             maximal.append(fs)
-    maximal.sort(key=_face_key)
-    facets = tuple(maximal)
-    universe = tuple(sorted(set().union(*facets))) if facets else ()
-    return SimplicialComplex(facets=facets, universe=universe)
-
-
-def enumerate_faces(K: SimplicialComplex, p: int, cap: int = DEFAULT_FACE_CAP) -> list[Face]:
-    """All faces of K with exactly p+1 vertices, lexicographically sorted.
-
-    ``p == -1`` yields ``[()]`` for every non-void complex; degrees below
-    -1 and degrees above the dimension yield an empty list.  The cap
-    applies to the whole complex, as in ``faces_by_dim``, not to degree p.
-    """
-    return faces_by_dim(K, cap).get(p, [])
+    maximal.sort(key=sorted)
+    return SimplicialComplex(facets=tuple(maximal))
 
 
 def faces_by_dim(K: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> dict[int, list[Face]]:
@@ -187,15 +168,14 @@ def omega_complex(n: int, t: int) -> SimplicialComplex:
 
     Facet i (for i = 1..n-t+1) is {1..n} minus {i, ..., i+t-1}.  For n == t
     this degenerates to the irrelevant complex; for t == 1 it is the
-    boundary of the simplex on n vertices.  The universe records 1..n even
-    when some labels appear in no facet.
+    boundary of the simplex on n vertices.  A label of 1..n that lies in
+    every window appears in no facet and so is no vertex.
     """
     if t < 1 or n < t:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     full = frozenset(range(1, n + 1))
     windows = [frozenset(range(i, i + t)) for i in range(1, n - t + 2)]
-    K = make_complex([full - w for w in windows])
-    return replace(K, universe=tuple(range(1, n + 1)))
+    return make_complex([full - w for w in windows])
 
 
 def boundary_complex(n: int) -> SimplicialComplex:

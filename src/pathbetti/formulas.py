@@ -58,15 +58,6 @@ def omega_homology_dims_formula(n: int, t: int) -> dict[int, int]:
     return {}
 
 
-def line_top_betti_formula(n: int, t: int, i: int) -> int:
-    """Top-multidegree Betti number b_{i, full support} for a line."""
-    if t < 2:
-        raise UnsupportedFormulaError("line formulas need t >= 2")
-    if n < 1 or i < 1:
-        return 0
-    return line_multigraded_formula([n], t, i)
-
-
 def line_multigraded_formula(component_orders: Sequence[int], t: int, i: int) -> int:
     """Multigraded Betti number of a disjoint union of lines at full support.
 
@@ -181,24 +172,6 @@ def formula_betti_table(family: str, n: int, t: int) -> FormulaTable:
     values without a formula raise UnsupportedFormulaError.
     """
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    if family == "line":
-        if n < 1:
-            raise ValueError("line needs n >= 1")
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                b = line_graded_formula(n, t, i, j)
-                if b:
-                    entries[(i, j)] = b
-        return FormulaTable(BettiTable.from_dict(n, entries), frozenset())
-    if family == "cycle":
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                b = cycle_graded_formula(n, t, i, j)
-                if b:
-                    entries[(i, j)] = b
-        return FormulaTable(BettiTable.from_dict(n, entries), frozenset())
     if family == "star":
         if t not in (2, 3):
             raise UnsupportedFormulaError("star formulas cover t in {2, 3} only")
@@ -209,5 +182,18 @@ def formula_betti_table(family: str, n: int, t: int) -> FormulaTable:
             b = star_graded_formula(n, t, i, j) if i >= 1 else 0
             if b:
                 entries[(i, j)] = b
-        return FormulaTable(BettiTable.from_dict(n + 1, entries), frozenset())
-    raise ValueError(f"unknown family {family!r}")
+        return FormulaTable(BettiTable.from_dict(entries), frozenset())
+    if family == "line":
+        entry, least = line_graded_formula, 1
+    elif family == "cycle":
+        entry, least = cycle_graded_formula, 3
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if n < least:
+        raise ValueError(f"{family} needs n >= {least}")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            b = entry(n, t, i, j)
+            if b:
+                entries[(i, j)] = b
+    return FormulaTable(BettiTable.from_dict(entries), frozenset())

@@ -17,15 +17,16 @@ every p-face that was a pivot row of d_{p+1}: such a column is a
 combination of earlier columns because d_p d_{p+1} = 0, so the rank does
 not change (Chen and Kerber, "Persistent homology computation with a
 twist", 2011).  ``reduced_homology_dims`` feeds it the faces of a complex
-given by its facets.  A boundary map exists only as the sparse columns
-that ``_boundary_column`` builds one face at a time; no matrix object or
-rows x cols array is ever formed, so the face cap, checked while the faces
-are enumerated and before any reduction, is the only bound on the work.
+given by its facets.  Both return a dict {degree: dim} holding the nonzero
+dimensions only, so the void complex gives {}.  A boundary map exists only
+as the sparse columns that ``_boundary_column`` builds one face at a time;
+no matrix object or rows x cols array is ever formed, so the face cap,
+checked while the faces are enumerated and before any reduction, is the
+only bound on the work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Mapping
 
@@ -95,58 +96,34 @@ def _boundary_column(face: Face, row_index: Mapping[Face, int], prime: int) -> d
     }
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced homology dimensions over GF(prime), nonzero degrees only."""
-
-    prime: int
-    dims: tuple[tuple[int, int], ...]
-
-    def dim(self, p: int) -> int:
-        for deg, d in self.dims:
-            if deg == p:
-                return d
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.dims)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.dims
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"H~{p}={d}" for p, d in self.dims) or "trivial"
-        return f"HomologyProfile({body}; GF({self.prime}))"
-
-
 def reduced_homology_dims(
     K: SimplicialComplex,
     p_field: int = DEFAULT_PRIME,
     cap: int = DEFAULT_FACE_CAP,
-) -> HomologyProfile:
-    """Reduced homology dimensions of K over GF(p_field), all degrees.
+) -> dict[int, int]:
+    """Reduced homology of K over GF(p_field) as {degree: dim}, nonzero dims only.
 
-    Degrees run from -1 through the dimension of K; everything outside
-    that range is zero and omitted from the profile.  Raises SizeCapError
-    when K has more than ``cap`` faces, before any reduction starts.
+    Degrees run from -1 through the dimension of K; the void complex gives
+    {}.  Raises SizeCapError when K has more than ``cap`` faces, before any
+    reduction starts.
     """
     return homology_of_faces(faces_by_dim(K, cap=cap), p_field)
 
 
-def homology_of_faces(faces: Mapping[int, list[Face]], p_field: int = DEFAULT_PRIME) -> HomologyProfile:
-    """Reduced homology dimensions over GF(p_field) of the complex with these faces.
+def homology_of_faces(faces: Mapping[int, list[Face]], p_field: int = DEFAULT_PRIME) -> dict[int, int]:
+    """Reduced homology over GF(p_field) of the complex with these faces.
 
-    ``faces`` maps p to every p-face, each a tuple of vertices in
-    increasing order, and holds the empty face under -1 unless the complex
-    is void ({}).  Any order within a dimension gives the same numbers,
-    since the reduction only needs the p-faces in one order as rows of
-    d_{p+1} and columns of d_p; the order sets the work, and every caller
-    here passes the lexicographic order of complexes.grow_faces.
+    Returns {degree: dim} with nonzero dims only.  ``faces`` maps p to
+    every p-face, each a tuple of vertices in increasing order, and holds
+    the empty face under -1 unless the complex is void ({}).  Any order
+    within a dimension gives the same numbers, since the reduction only
+    needs the p-faces in one order as rows of d_{p+1} and columns of d_p;
+    the order sets the work, and every caller here passes the
+    lexicographic order of complexes.grow_faces.
     """
     validate_prime(p_field)
     if not faces:
-        return HomologyProfile(prime=p_field, dims=())
+        return {}
     top = max(faces)
     ranks: dict[int, int] = {}
     cleared: Mapping[int, object] = {}
@@ -160,12 +137,12 @@ def homology_of_faces(faces: Mapping[int, list[Face]], p_field: int = DEFAULT_PR
         # a pivot row of d_p is a (p-1)-face whose boundary column in
         # d_{p-1} is a combination of earlier columns, since d_{p-1} d_p = 0
         cleared = pivots
-    dims = []
+    dims = {}
     for p in range(-1, top + 1):
         d = len(faces[p]) - ranks.get(p, 0) - ranks.get(p + 1, 0)
         if d:
-            dims.append((p, d))
-    return HomologyProfile(prime=p_field, dims=tuple(dims))
+            dims[p] = d
+    return dims
 
 
 def reduced_euler_characteristic(K: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> int:

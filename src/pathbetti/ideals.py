@@ -20,7 +20,6 @@ from .graphs import Graph, enumerate_t_paths
 class MonomialIdeal:
     """Equigenerated squarefree ideal: distinct supports of one size t."""
 
-    ambient_n: int
     t: int
     generators: tuple[frozenset[int], ...]
 
@@ -39,7 +38,7 @@ def path_ideal(G: Graph, t: int) -> MonomialIdeal:
     automatically minimal.  A graph with no t-path gives the zero ideal.
     """
     gens = tuple(enumerate_t_paths(G, t))
-    return MonomialIdeal(ambient_n=G.n, t=t, generators=gens)
+    return MonomialIdeal(t=t, generators=gens)
 
 
 def ideal_lcm(I: MonomialIdeal) -> frozenset[int]:

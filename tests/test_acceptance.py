@@ -16,7 +16,6 @@ from pathbetti import (
     boundary_complex,
     connected_components,
     cone,
-    enumerate_faces,
     facet_vertex_matching,
     graded_betti_table,
     graph_from_edges,
@@ -47,7 +46,7 @@ def test_criterion_1_window_homology_formula():
         for n in range(t, 13):
             expected = omega_homology_dims_formula(n, t)
             for prime in (2, 32003):
-                got = reduced_homology_dims(omega_complex(n, t), prime).as_dict()
+                got = reduced_homology_dims(omega_complex(n, t), prime)
                 assert got == expected, (n, t, prime, got, expected)
                 checked += 1
     elapsed = time.monotonic() - start
@@ -228,17 +227,17 @@ def test_criterion_8_homology_self_checks():
             for p, col in composite_boundary_columns(K, prime):
                 assert not col, (K, p, prime)
     for K in pool:
-        prof = reduced_homology_dims(K).as_dict()
+        prof = reduced_homology_dims(K)
         chi = sum(d if p % 2 == 0 else -d for p, d in prof.items())
         assert chi == reduced_euler_characteristic(K), K
-        assert reduced_homology_dims(cone(K, 999)).as_dict() == {}, K
+        assert reduced_homology_dims(cone(K, 999)) == {}, K
         if not K.is_void and is_cone(K) is not None:
             assert prof == {}, K
 
     for _ in range(500):
         K1, K2 = random_acyclic(rng), random_acyclic(rng)
-        du = reduced_homology_dims(union(K1, K2)).as_dict()
-        di = reduced_homology_dims(intersection(K1, K2)).as_dict()
+        du = reduced_homology_dims(union(K1, K2))
+        di = reduced_homology_dims(intersection(K1, K2))
         assert du == {p + 1: d for p, d in di.items()}, (K1, K2)
 
     matched = 0
@@ -258,7 +257,7 @@ def test_criterion_8_homology_self_checks():
             continue
         matched += 1
         q = len(K.facets)
-        assert reduced_homology_dims(K).as_dict() == {q - 2: 1}, K
+        assert reduced_homology_dims(K) == {q - 2: 1}, K
     assert matched >= 15
 
     elapsed = time.monotonic() - start

@@ -28,10 +28,10 @@ def ex_graph():
 
 
 def test_betti_table_api():
-    T = BettiTable.from_dict(4, {(0, 0): 1, (1, 2): 3, (2, 3): 2, (3, 5): 0})
+    T = BettiTable.from_dict({(0, 0): 1, (1, 2): 3, (2, 3): 2, (3, 5): 0})
     assert T.as_dict() == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
     assert T.max_i == 2 and T.max_j == 3
-    empty = BettiTable.from_dict(0, {})
+    empty = BettiTable.from_dict({})
     assert empty.as_dict() == {}
 
 

@@ -57,7 +57,7 @@ def test_betti_table_golden(capsys):
 
 
 def test_text_table_is_written_row_by_row():
-    table = BettiTable.from_dict(4, {(0, 0): 1, (1, 2): 3, (2, 3): 12})
+    table = BettiTable.from_dict({(0, 0): 1, (1, 2): 3, (2, 3): 12})
     rows = cli.render_table_text(table, "T")
     assert not isinstance(rows, str)
     assert next(rows) == "T"
@@ -111,12 +111,19 @@ def test_compare_match(capsys):
     assert out.startswith("MATCH (")
 
 
+def test_compare_match_one_entry(capsys):
+    # no t-path, so the table holds only the unit entry (0, 0)
+    for argv in (("--cycle", "3", "--t", "4"), ("--line", "1", "--t", "2")):
+        rc, out, _ = run_cli(capsys, "compare", *argv)
+        assert (rc, out) == (EXIT_OK, "MATCH (1 entry)\n"), argv
+
+
 def test_compare_mismatch_reporting(capsys, monkeypatch):
     # force a disagreement to exercise the failure path; the real tables
     # never disagree
     import pathbetti.cli as cli_mod
 
-    doctored = BettiTable.from_dict(4, {(0, 0): 1, (1, 2): 99})
+    doctored = BettiTable.from_dict({(0, 0): 1, (1, 2): 99})
 
     monkeypatch.setattr(cli_mod, "graded_betti_table", lambda *a, **k: doctored)
     rc, out, _ = run_cli(capsys, "compare", "--line", "4", "--t", "2")
@@ -466,10 +473,12 @@ def test_homology_cap_checked_before_taylor(capsys, monkeypatch):
     assert time.perf_counter() - start < 2.0
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_examples():
     """(argv, expected stdout) for each `$ pathbetti ...` sh block of README.md."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    blocks = text.split("```sh\n")[1:]
+    blocks = README.read_text(encoding="utf-8").split("```sh\n")[1:]
     out = []
     for block in (b.split("```", 1)[0] for b in blocks):
         first, _, rest = block.partition("\n")
@@ -484,3 +493,20 @@ def test_readme_examples(capsys):
     for argv, want in examples:
         rc, out, _ = run_cli(capsys, *argv)
         assert (rc, out) == (EXIT_OK, want), argv
+
+
+def test_readme_library_example():
+    # a line followed by a "# ..." line is an expression with that repr
+    block = README.read_text(encoding="utf-8").split("```python\n")[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("# "):
+            continue
+        if after.startswith("# "):
+            assert repr(eval(line, namespace)) == after[2:], line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 3

@@ -13,7 +13,6 @@ from pathbetti import (
     SizeCapError,
     boundary_complex,
     cone,
-    enumerate_faces,
     facet_vertex_matching,
     faces_by_dim,
     intersection,
@@ -77,42 +76,39 @@ def test_every_input_face_is_covered(fam):
         assert any(set(f) <= g for g in K.facets)
 
 
-def test_enumerate_faces_simplex():
+def test_faces_by_dim_simplex():
     K = make_complex([[1, 2, 3]])
-    assert enumerate_faces(K, -1) == [()]
-    assert enumerate_faces(K, 0) == [(1,), (2,), (3,)]
-    assert enumerate_faces(K, 1) == [(1, 2), (1, 3), (2, 3)]
-    assert enumerate_faces(K, 2) == [(1, 2, 3)]
-    assert enumerate_faces(K, 3) == []
-    assert enumerate_faces(K, -2) == []
+    assert faces_by_dim(K) == {
+        -1: [()],
+        0: [(1,), (2,), (3,)],
+        1: [(1, 2), (1, 3), (2, 3)],
+        2: [(1, 2, 3)],
+    }
 
 
-def test_enumerate_faces_void_and_irrelevant():
-    void = make_complex([])
-    irr = make_complex([[]])
-    for p in range(-2, 3):
-        assert enumerate_faces(void, p) == []
-    assert enumerate_faces(irr, -1) == [()]
-    assert enumerate_faces(irr, 0) == []
+def test_faces_by_dim_void_and_irrelevant():
+    assert faces_by_dim(make_complex([])) == {}
+    assert faces_by_dim(make_complex([[]])) == {-1: [()]}
 
 
-def test_enumerate_faces_omega_5_2():
+def test_faces_by_dim_omega_5_2():
     # independently derived from the facet list; the 2-faces are exactly
     # the four facets themselves
     K = omega_complex(5, 2)
     facets = [{3, 4, 5}, {1, 4, 5}, {1, 2, 5}, {1, 2, 3}]
     assert set(K.facets) == {frozenset(f) for f in facets}
+    faces = faces_by_dim(K)
     for p in range(-1, 4):
         expected = sorted(
             {c for f in facets for c in combinations(sorted(f), p + 1)}
         )
-        assert enumerate_faces(K, p) == expected
-    two_faces = enumerate_faces(K, 2)
+        assert faces.get(p, []) == expected
+    two_faces = faces[2]
     assert two_faces == [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5)]
     assert (2, 3, 4) not in two_faces
     assert (1, 2, 4) not in two_faces
-    assert len(enumerate_faces(K, 1)) == 9
-    assert enumerate_faces(K, 3) == []
+    assert len(faces[1]) == 9
+    assert 3 not in faces
 
 
 def _expand(K):
@@ -130,9 +126,6 @@ def test_faces_by_dim_matches_enumerate():
     for K in complexes:
         table = faces_by_dim(K)
         assert table == _expand(K), K
-        top = max(table) if table else -2
-        for p in range(-2, top + 2):
-            assert enumerate_faces(K, p) == table.get(p, []), (K, p)
     # the cap counts every face, the empty one included: the simplex on
     # four vertices has 16, one more vertex beside it makes 17
     simplex = make_complex([[1, 2, 3, 4]])
@@ -167,7 +160,6 @@ def test_grow_faces_is_lexicographic():
 def test_omega_complex_small_cases():
     K = omega_complex(3, 3)
     assert K.is_irrelevant
-    assert K.universe == (1, 2, 3)
     assert omega_complex(4, 1) == boundary_complex(4)
     K62 = omega_complex(6, 2)
     assert set(K62.facets) == {
@@ -226,10 +218,10 @@ def test_union_intersection_face_sets(f1, f2):
     K1, K2 = make_complex(f1), make_complex(f2)
     U, I = union(K1, K2), intersection(K1, K2)
     for p in range(-1, 8):
-        s1 = set(enumerate_faces(K1, p))
-        s2 = set(enumerate_faces(K2, p))
-        assert set(enumerate_faces(U, p)) == s1 | s2
-        assert set(enumerate_faces(I, p)) == s1 & s2
+        s1 = set(faces_by_dim(K1).get(p, []))
+        s2 = set(faces_by_dim(K2).get(p, []))
+        assert set(faces_by_dim(U).get(p, [])) == s1 | s2
+        assert set(faces_by_dim(I).get(p, [])) == s1 & s2
 
 
 def test_facet_vertex_matching_frozen():

@@ -14,7 +14,6 @@ from pathbetti import (
     graded_betti_table,
     line_graded_formula,
     line_multigraded_formula,
-    line_top_betti_formula,
     multigraded_betti,
     omega_homology_dims_formula,
     path_ideal,
@@ -79,21 +78,21 @@ def test_omega_formula_matches_oracle_spot():
         for n in range(t, 9):
             K = omega_complex(n, t)
             assert (
-                reduced_homology_dims(K).as_dict()
+                reduced_homology_dims(K)
                 == omega_homology_dims_formula(n, t)
             )
 
 
 def test_line_top_frozen():
-    assert line_top_betti_formula(3, 2, 2) == 1
-    assert line_top_betti_formula(3, 2, 1) == 0
-    assert line_top_betti_formula(4, 2, 1) == 0
-    assert line_top_betti_formula(4, 2, 2) == 0
-    assert line_top_betti_formula(5, 2, 3) == 1
-    assert line_top_betti_formula(2, 2, 1) == 1
-    assert line_top_betti_formula(6, 2, 4) == 1
+    assert line_multigraded_formula([3], 2, 2) == 1
+    assert line_multigraded_formula([3], 2, 1) == 0
+    assert line_multigraded_formula([4], 2, 1) == 0
+    assert line_multigraded_formula([4], 2, 2) == 0
+    assert line_multigraded_formula([5], 2, 3) == 1
+    assert line_multigraded_formula([2], 2, 1) == 1
+    assert line_multigraded_formula([6], 2, 4) == 1
     with pytest.raises(UnsupportedFormulaError):
-        line_top_betti_formula(4, 1, 1)
+        line_multigraded_formula([4], 1, 1)
 
 
 def test_line_top_matches_oracle():
@@ -102,7 +101,7 @@ def test_line_top_matches_oracle():
             I = path_ideal(standard_graph("line", n), t)
             expected = {}
             for i in range(1, n + 3):
-                b = line_top_betti_formula(n, t, i)
+                b = line_multigraded_formula([n], t, i)
                 if b:
                     expected[i] = b
             assert multigraded_betti(I, set(range(1, n + 1))) == expected

@@ -23,16 +23,16 @@ def ex_graph():
 
 
 def test_monomial_ideal_validation():
-    MonomialIdeal(3, 2, (frozenset({1, 2}), frozenset({2, 3})))
+    MonomialIdeal(2, (frozenset({1, 2}), frozenset({2, 3})))
     with pytest.raises(ValueError, match="duplicate"):
-        MonomialIdeal(3, 2, (frozenset({1, 2}), frozenset({1, 2})))
+        MonomialIdeal(2, (frozenset({1, 2}), frozenset({1, 2})))
     with pytest.raises(ValueError, match="degree"):
-        MonomialIdeal(3, 2, (frozenset({1, 2, 3}),))
+        MonomialIdeal(2, (frozenset({1, 2, 3}),))
 
 
 def test_path_ideal_generators():
     I = path_ideal(standard_graph("line", 5), 3)
-    assert I.ambient_n == 5 and I.t == 3
+    assert I.t == 3
     assert I.generators == (
         frozenset({1, 2, 3}),
         frozenset({2, 3, 4}),
