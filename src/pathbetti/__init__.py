@@ -7,26 +7,8 @@ formulas for lines, cycles, and stars.  The CLI front end lives in
 pathbetti.cli.
 """
 
-from .betti import (
-    BettiTable,
-    graded_betti_table,
-    multigraded_betti,
-    multigraded_record,
-    top_betti_product,
-)
-from .complexes import (
-    SimplicialComplex,
-    SizeCapError,
-    boundary_complex,
-    cone,
-    faces_by_dim,
-    facet_vertex_matching,
-    intersection,
-    is_cone,
-    make_complex,
-    omega_complex,
-    union,
-)
+from .betti import BettiTable, graded_betti_table, multigraded_betti
+from .complexes import SimplicialComplex, SizeCapError, faces_by_dim, make_complex, omega_complex
 from .formulas import (
     FormulaTable,
     UnsupportedFormulaError,
@@ -38,23 +20,8 @@ from .formulas import (
     omega_homology_dims_formula,
     star_graded_formula,
 )
-from .graphs import (
-    Graph,
-    connected_components,
-    enumerate_t_paths,
-    graph_from_edges,
-    graph_from_json,
-    induced_subgraph,
-    line_decomposition,
-    standard_graph,
-)
-from .homology import (
-    DEFAULT_PRIME,
-    is_prime,
-    reduced_euler_characteristic,
-    reduced_homology_dims,
-    validate_prime,
-)
+from .graphs import Graph, enumerate_t_paths, graph_from_edges, graph_from_json, standard_graph
+from .homology import DEFAULT_PRIME, is_prime, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, path_ideal, taylor_strict_sub
 
 __version__ = "0.1.0"

@@ -14,25 +14,24 @@ polymer's top vector comes from the complex with the smallest bound on
 its size: the strict Taylor complex when W holds fewer than |W| - 1
 generators, else Hochster's complex Δ_W or its Alexander dual K^W,
 whichever is under half of the subsets of W (_top_vector), each grown on
-the polymer's bit masks by complexes.grow_faces.  multigraded_betti,
-multigraded_record (a walk over every subset) and so the homology
-subcommand build Taylor by taylor_strict_sub, the route that cross-checks
-the other two.  The chosen field characteristic does not change any
-table in this package's scope, which the test suite checks rather than
-assumes.
+the polymer's bit masks by complexes.grow_faces.  multigraded_betti, and
+so the homology subcommand, builds Taylor by taylor_strict_sub, the route
+that cross-checks the other two.  The field characteristic can change a
+table: for an edge ideal (t = 2) whose independence complex triangulates
+the real projective plane, two entries are 1 over GF(2) and 0 over any
+odd characteristic (Katzman, JCTA 113, 2006).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import DEFAULT_FACE_CAP, SizeCapError, grow_faces
 from .graphs import Graph, enumerate_t_paths
 from .homology import DEFAULT_PRIME, homology_of_faces, reduced_homology_dims, validate_prime
-from .ideals import MonomialIdeal, ideal_lcm, is_lcm_closed, taylor_strict_sub
+from .ideals import MonomialIdeal, is_lcm_closed, taylor_strict_sub
 
 
 @dataclass(frozen=True)
@@ -138,21 +137,6 @@ def _top_on(
         faces = grow_faces(range(w), limit, nonfaces=[[g for g in gens if g >> k & 1] for k in range(w)])
     dims = homology_of_faces(faces, p_field).items()
     return {w - 1 - p: d for p, d in dims} if route == "delta" else {p + 2: d for p, d in dims}
-
-
-def multigraded_record(
-    I: MonomialIdeal,
-    p_field: int = DEFAULT_PRIME,
-) -> dict[tuple[int, frozenset[int]], int]:
-    """All nonzero (i, m) -> b_{i,m} over subsets of the lcm support."""
-    support = sorted(ideal_lcm(I))
-    out: dict[tuple[int, frozenset[int]], int] = {}
-    for size in range(len(support) + 1):
-        for sub in combinations(support, size):
-            w = frozenset(sub)
-            for i, b in multigraded_betti(I, w, p_field).items():
-                out[(i, w)] = b
-    return out
 
 
 def _shape(C: int, nbr: Mapping[int, int], ids: dict[tuple[int, ...], int]) -> Optional[tuple]:
@@ -263,7 +247,7 @@ def graded_betti_table(
 
     def polymer_terms(U: int, v: int) -> list[tuple[int, dict[int, int], int]]:
         # include/exclude search on frontier[0] over frames (C, generators in
-        # C, their union, C and its neighbours, frontier): each C once
+        # C, the vertices they cover, C and its neighbours, frontier): each C once
         out = []
         stack = [(0, (), 0, 0, (v,))]
         while stack:
@@ -306,19 +290,3 @@ def graded_betti_table(
                     acc[(i + k, j + size)] = acc.get((i + k, j + size), 0) + b * c
         tables[U] = acc
     return BettiTable.from_dict(tables[full])
-
-
-def top_betti_product(vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:
-    """Convolution of top-grade Betti vectors (one per component ideal).
-
-    The empty product is the unit {0: 1}; any zero vector annihilates the
-    result, matching a component whose top multidegree is not lcm-closed.
-    """
-    acc: dict[int, int] = {0: 1}
-    for vec in vectors:
-        nxt: dict[int, int] = {}
-        for a, va in acc.items():
-            for b, vb in vec.items():
-                nxt[a + b] = nxt.get(a + b, 0) + va * vb
-        acc = nxt
-    return acc

@@ -18,7 +18,6 @@ from its minimal non-faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 Face = tuple[int, ...]
@@ -44,10 +43,6 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return len(self.facets) == 0
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == (frozenset(),)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -130,39 +125,6 @@ def grow_faces(
     return faces
 
 
-def is_cone(K: SimplicialComplex) -> Optional[int]:
-    """Smallest vertex lying in every facet, or None if there is none.
-
-    The void complex is rejected: it has no facets to share an apex.
-    """
-    if K.is_void:
-        raise ValueError("the void complex has no cone structure")
-    common = set(K.facets[0])
-    for f in K.facets[1:]:
-        common &= f
-        if not common:
-            break
-    return min(common) if common else None
-
-
-def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """Insert ``apex`` into every facet.  The apex must be a fresh label."""
-    if apex in K.vertices:
-        raise ValueError(f"apex {apex} is already a vertex")
-    if K.is_void:
-        return K
-    return make_complex([f | {apex} for f in K.facets])
-
-
-def union(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
-    return make_complex(list(K1.facets) + list(K2.facets))
-
-
-def intersection(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
-    # faces common to both are exactly the faces of pairwise facet meets
-    return make_complex([f & g for f in K1.facets for g in K2.facets])
-
-
 def omega_complex(n: int, t: int) -> SimplicialComplex:
     """Complex on 1..n whose facets omit one window of t consecutive labels.
 
@@ -176,37 +138,3 @@ def omega_complex(n: int, t: int) -> SimplicialComplex:
     full = frozenset(range(1, n + 1))
     windows = [frozenset(range(i, i + t)) for i in range(1, n - t + 2)]
     return make_complex([full - w for w in windows])
-
-
-def boundary_complex(n: int) -> SimplicialComplex:
-    """Boundary of the full simplex on 1..n: all faces except the top one."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return make_complex([[]])
-    return make_complex(combinations(range(1, n + 1), n - 1))
-
-
-def facet_vertex_matching(K: SimplicialComplex) -> Optional[list[int]]:
-    """Vertices v_1..v_q with v_i outside F_i and inside every other facet.
-
-    Returns the matching in facet order, or None when no matching exists,
-    when K has fewer than two facets, or when K is a cone.  The candidate
-    sets for distinct facets are pairwise disjoint (membership in one
-    forbids membership in the other), so greedy choice of the smallest
-    candidate per facet is exhaustive.
-    """
-    if len(K.facets) < 2 or is_cone(K) is not None:
-        return None
-    verts = K.vertices
-    chosen: list[int] = []
-    for i, facet in enumerate(K.facets):
-        cands = set(verts) - facet
-        for j, other in enumerate(K.facets):
-            if j != i:
-                cands &= other
-            if not cands:
-                return None
-        chosen.append(min(cands))
-    return chosen
-

@@ -59,7 +59,7 @@ def omega_homology_dims_formula(n: int, t: int) -> dict[int, int]:
 
 
 def line_multigraded_formula(component_orders: Sequence[int], t: int, i: int) -> int:
-    """Multigraded Betti number of a disjoint union of lines at full support.
+    """Multigraded Betti number of vertex-disjoint lines at full support.
 
     The value is 0 or 1: it is 1 exactly when every component order is
     congruent to 0 or t mod t+1 and the number of orders congruent to t

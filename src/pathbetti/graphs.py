@@ -1,14 +1,14 @@
 """Finite simple graphs over integer vertex labels.
 
-Standard families use vertices 1..n (the star S_n has n+1 vertices with
-center 1); induced subgraphs keep their original labels, so a Graph is a
-graph on an arbitrary finite label set.  All enumeration orders are fixed.
+Standard families and edge lists use vertices 1..n (the star S_n has n+1
+vertices with center 1); a Graph itself may carry any finite set of
+integer labels.  All enumeration orders are fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 _FAMILIES = ("line", "cycle", "star")
 
@@ -29,10 +29,6 @@ class Graph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
@@ -116,22 +112,17 @@ def graph_from_json(data: Mapping) -> Graph:
     return graph_from_edges(n, data["edges"])
 
 
-def induced_subgraph(G: Graph, W: Iterable[int]) -> Graph:
-    """Subgraph on the vertex subset W, labels preserved."""
-    ws = frozenset(W)
-    if not ws <= G.vertex_set:
-        raise ValueError(f"subset {sorted(ws)} is not contained in the vertex set")
-    return _build(ws, [(u, v) for u, v in G.edges if u in ws and v in ws])
-
-
 def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
     """Distinct vertex supports of simple paths on t vertices, sorted.
 
     t = 1 gives all singletons and t = 2 the edge set.  A support appears
-    once no matter how many paths trace it.
+    once no matter how many paths trace it.  With t above the vertex
+    count there is none, and the search is not started.
     """
     if t < 1:
         raise ValueError("need t >= 1")
+    if t > G.n:
+        return []
     if t == 1:
         return [frozenset({v}) for v in G.vertices]
     adj = G.adjacency()
@@ -154,40 +145,3 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
                 stack.pop()
                 on_path.remove(path.pop())
     return sorted(supports, key=sorted)
-
-
-def connected_components(G: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the components, ordered by smallest member."""
-    adj = G.adjacency()
-    left = set(G.vertices)
-    comps: list[frozenset[int]] = []
-    while left:
-        v = left.pop()
-        stack, comp = [v], [v]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb in left:
-                    left.remove(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
-
-
-def line_decomposition(G: Graph) -> Optional[list[int]]:
-    """Component orders, largest first, if every component is a path.
-
-    A component on k vertices is a path exactly when it has k-1 edges and
-    no vertex of degree above 2.  Returns None as soon as some component
-    is not a path; the empty graph decomposes into the empty list.
-    """
-    adj = G.adjacency()
-    orders = []
-    for comp in connected_components(G):
-        edge_count = sum(1 for u, v in G.edges if u in comp and v in comp)
-        if edge_count != len(comp) - 1:
-            return None
-        if any(len(adj[v]) > 2 for v in comp):
-            return None
-        orders.append(len(comp))
-    return sorted(orders, reverse=True)

@@ -143,11 +143,3 @@ def homology_of_faces(faces: Mapping[int, list[Face]], p_field: int = DEFAULT_PR
         if d:
             dims[p] = d
     return dims
-
-
-def reduced_euler_characteristic(K: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> int:
-    """Alternating face-count sum including the empty face; 0 for void."""
-    total = 0
-    for p, fl in faces_by_dim(K, cap=cap).items():
-        total += len(fl) if p % 2 == 0 else -len(fl)
-    return total

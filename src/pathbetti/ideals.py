@@ -1,8 +1,8 @@
 """Squarefree monomial ideals generated by path supports, and their
 strict Taylor subcomplexes.
 
-A generator is identified with its vertex support (a frozenset), so lcm
-is set union and divisibility is containment.  Generators keep the
+A generator is identified with its vertex support (a frozenset), so an
+lcm is the set of vertices covered and divisibility is containment.  Generators keep the
 deterministic order produced by enumerate_t_paths; the Taylor complex
 lives on 0-based generator indices in that order.
 """
@@ -50,7 +50,7 @@ def ideal_lcm(I: MonomialIdeal) -> frozenset[int]:
 
 
 def is_lcm_closed(I: MonomialIdeal, m: Iterable[int]) -> bool:
-    """Whether m equals the union of the generators it contains.
+    """Whether the generators inside m cover every vertex of m.
 
     This is membership in the lcm lattice of I; multigraded Betti numbers
     vanish off that lattice, so it guards the homology formula.

@@ -7,9 +7,34 @@ every run sees the same instances.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from pathbetti import SimplicialComplex, cone, faces_by_dim, make_complex
+import pytest
+
+from pathbetti import Graph, SimplicialComplex, faces_by_dim, graph_from_edges, make_complex
 from pathbetti.homology import _boundary_column
+from reference import cone
+
+
+# A flag triangulation of the real projective plane on 12 vertices, 33 edges:
+# its clique complex is itself, and H~_1 = H~_2 = GF(2) over GF(2) while
+# both vanish over a field of odd characteristic.
+RP2_TRIANGLES = [
+    (1, 2, 4), (1, 2, 6), (1, 7, 8), (3, 7, 8), (3, 5, 7), (1, 6, 8), (3, 8, 11), (6, 8, 11),
+    (1, 4, 7), (4, 7, 9), (5, 7, 9), (2, 3, 12), (2, 4, 12), (2, 3, 5), (2, 5, 6), (3, 10, 12),
+    (4, 10, 12), (3, 10, 11), (6, 10, 11), (4, 9, 10), (6, 9, 10), (5, 6, 9),
+]
+
+
+@pytest.fixture
+def rp2_complement() -> Graph:
+    """Complement of the 1-skeleton of RP2_TRIANGLES: its independence complex is RP^2.
+
+    At t = 2 its path ideal is its edge ideal, whose Stanley-Reisner complex
+    is that independence complex, so its Betti table depends on the field.
+    """
+    skeleton = {e for tri in RP2_TRIANGLES for e in combinations(tri, 2)}
+    return graph_from_edges(12, [e for e in combinations(range(1, 13), 2) if e not in skeleton])
 
 
 def random_complex(rng: random.Random, max_vertices: int = 8, max_facets: int = 7) -> SimplicialComplex:

@@ -7,20 +7,20 @@ from math import comb
 
 import pytest
 
+from conftest import RP2_TRIANGLES
 from pathbetti import (
     BettiTable,
-    connected_components,
     formula_betti_table,
     graded_betti_table,
     graph_from_edges,
-    induced_subgraph,
+    make_complex,
     multigraded_betti,
-    multigraded_record,
     path_ideal,
+    reduced_homology_dims,
     standard_graph,
-    top_betti_product,
 )
 from pathbetti import betti
+from reference import connected_components, induced_subgraph, multigraded_record, top_betti_product
 
 
 def ex_graph():
@@ -107,6 +107,31 @@ def test_prime_independence():
             graded_betti_table(G, t, p_field=2).as_dict()
             == graded_betti_table(G, t, p_field=32003).as_dict()
         )
+
+
+def test_field_changes_the_table_of_rp2_complement(rp2_complement):
+    tables = {p: graded_betti_table(rp2_complement, 2, p).as_dict() for p in (2, 3, 32003)}
+    assert tables[3] == tables[32003]
+    differ = {ij for ij in tables[2].keys() | tables[3].keys() if tables[2].get(ij) != tables[3].get(ij)}
+    assert differ == {(9, 12), (10, 12)}
+    assert tables[2][(9, 12)] == tables[2][(10, 12)] == 1
+
+
+def test_vertex_side_routes_see_the_field(rp2_complement):
+    # Δ_W at W = 1..12 is the triangulation itself, so by Hochster's formula
+    # b_{i,W} = dim H~_{12-i-1} of RP^2
+    edges = set(rp2_complement.edges)
+    independent = [
+        c for k in (3, 4) for c in combinations(range(1, 13), k) if edges.isdisjoint(combinations(c, 2))
+    ]
+    assert independent == sorted(RP2_TRIANGLES)
+    K = make_complex(RP2_TRIANGLES)
+    C = (1 << 12) - 1
+    inside = [sum(1 << (v - 1) for v in e) for e in edges]
+    for prime, want in ((2, {9: 1, 10: 1}), (3, {})):
+        assert {12 - p - 1: d for p, d in reduced_homology_dims(K, prime).items()} == want
+        assert betti._top_on("delta", C, inside, prime) == want, prime
+        assert betti._top_on("dual", C, inside, prime) == want, prime
 
 
 def test_restriction_to_induced_subgraph():

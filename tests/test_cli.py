@@ -15,6 +15,7 @@ from pathbetti import (
     formula_betti_table,
     graded_betti_table,
     graph_from_edges,
+    graph_from_json,
     path_ideal,
     standard_graph,
 )
@@ -487,12 +488,19 @@ def _readme_examples():
     return out
 
 
-def test_readme_examples(capsys):
+def test_readme_examples(capsys, monkeypatch):
+    # example paths are relative to the repository root
+    monkeypatch.chdir(README.parent)
     examples = _readme_examples()
-    assert len(examples) == 6
+    assert len(examples) == 7
     for argv, want in examples:
         rc, out, _ = run_cli(capsys, *argv)
         assert (rc, out) == (EXIT_OK, want), argv
+
+
+def test_readme_prime_example_file_is_the_fixture(rp2_complement):
+    data = json.loads((README.parent / "tests" / "rp2_complement.json").read_text(encoding="utf-8"))
+    assert graph_from_json(data) == rp2_complement
 
 
 def test_readme_library_example():

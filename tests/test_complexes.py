@@ -8,20 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex
-from pathbetti import (
-    SimplicialComplex,
-    SizeCapError,
-    boundary_complex,
-    cone,
-    facet_vertex_matching,
-    faces_by_dim,
-    intersection,
-    is_cone,
-    make_complex,
-    omega_complex,
-    union,
-)
+from pathbetti import SimplicialComplex, SizeCapError, faces_by_dim, make_complex, omega_complex
 from pathbetti.complexes import grow_faces
+from reference import boundary_complex, cone, facet_vertex_matching, intersection, is_cone, union
 
 facet_families = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), max_size=5),
@@ -32,8 +21,8 @@ facet_families = st.lists(
 def test_void_and_irrelevant_are_distinct():
     void = make_complex([])
     irr = make_complex([[]])
-    assert void.is_void and not void.is_irrelevant
-    assert irr.is_irrelevant and not irr.is_void
+    assert void.is_void and void.facets != (frozenset(),)
+    assert irr.facets == (frozenset(),) and not irr.is_void
     assert void != irr
     assert void.facets == ()
     assert irr.facets == (frozenset(),)
@@ -159,7 +148,7 @@ def test_grow_faces_is_lexicographic():
 
 def test_omega_complex_small_cases():
     K = omega_complex(3, 3)
-    assert K.is_irrelevant
+    assert K == make_complex([[]])
     assert omega_complex(4, 1) == boundary_complex(4)
     K62 = omega_complex(6, 2)
     assert set(K62.facets) == {
@@ -172,7 +161,7 @@ def test_omega_complex_small_cases():
 
 
 def test_boundary_complex():
-    assert boundary_complex(1).is_irrelevant
+    assert boundary_complex(1) == make_complex([[]])
     assert set(boundary_complex(3).facets) == {
         frozenset({1, 2}),
         frozenset({1, 3}),
@@ -206,7 +195,7 @@ def test_union_and_intersection():
     K2 = make_complex([[2, 3]])
     assert union(K1, K2) == make_complex([[1, 2], [2, 3]])
     assert intersection(K1, K2) == make_complex([[2]])
-    assert intersection(make_complex([[1]]), make_complex([[2]])).is_irrelevant
+    assert intersection(make_complex([[1]]), make_complex([[2]])) == make_complex([[]])
     void = make_complex([])
     assert union(void, K1) == K1
     assert intersection(void, K1).is_void

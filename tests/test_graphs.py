@@ -1,23 +1,16 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, permutations
 from typing import Optional
 
 import pytest
 
-from pathbetti import (
-    Graph,
-    connected_components,
-    enumerate_t_paths,
-    graph_from_edges,
-    graph_from_json,
-    induced_subgraph,
-    line_decomposition,
-    standard_graph,
-)
+from pathbetti import Graph, enumerate_t_paths, graph_from_edges, graph_from_json, standard_graph
 from pathbetti.betti import _shape
 from pathbetti.graphs import MAX_VERTICES
+from reference import connected_components, induced_subgraph, line_decomposition
 
 
 def ex_graph() -> Graph:
@@ -55,7 +48,7 @@ def test_standard_families():
 def test_graph_accessors():
     G = ex_graph()
     assert G.n == 4
-    assert G.vertex_set == frozenset({1, 2, 3, 4})
+    assert G.vertices == (1, 2, 3, 4)
     adj = G.adjacency()
     assert adj[1] == {2, 3, 4}
     assert adj[2] == {1}
@@ -138,6 +131,14 @@ def test_enumerate_t_paths_small_cases():
     ]
     with pytest.raises(ValueError):
         enumerate_t_paths(G, 0)
+
+
+def test_paths_longer_than_the_graph_are_not_searched():
+    # K_10 has 10! / 2 simple paths on 10 vertices, and none on 11
+    K10 = graph_from_edges(10, list(combinations(range(1, 11), 2)))
+    start = time.perf_counter()
+    assert enumerate_t_paths(K10, 11) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_two_paths_are_edges():

@@ -10,19 +10,21 @@ from conftest import boundary_columns, composite_boundary_columns, random_acycli
 from pathbetti import (
     DEFAULT_PRIME,
     SizeCapError,
-    boundary_complex,
-    cone,
     faces_by_dim,
-    intersection,
-    is_cone,
     make_complex,
     omega_complex,
-    reduced_euler_characteristic,
     reduced_homology_dims,
-    union,
     validate_prime,
 )
 from pathbetti.homology import _reduce_columns
+from reference import (
+    boundary_complex,
+    cone,
+    intersection,
+    is_cone,
+    reduced_euler_characteristic,
+    union,
+)
 
 facet_families = st.lists(
     st.lists(st.integers(min_value=0, max_value=6), max_size=4),
