@@ -10,25 +10,31 @@ polymers (connected lcm-closed sets), which graded_betti_table computes
 by one memoised recursion.  Homology runs once per isomorphism class of
 polymer that is a clique, a tree or unicyclic, keyed in linear time by
 leaf peeling (_shape), and once per visit of any other polymer.  A
-polymer's top vector comes from the complex with the smallest bound on
-its size: the strict Taylor complex when W holds fewer than |W| - 1
-generators, else Hochster's complex Δ_W or its Alexander dual K^W,
-whichever is under half of the subsets of W (_top_vector), each grown on
-the polymer's bit masks by complexes.grow_faces.  multigraded_betti, and
-so the homology subcommand, builds Taylor by taylor_strict_sub, the route
-that cross-checks the other two.  The field characteristic can change a
-table: for an edge ideal (t = 2) whose independence complex triangulates
-the real projective plane, two entries are 1 over GF(2) and 0 over any
-odd characteristic (Katzman, JCTA 113, 2006).
+polymer's top vector comes from the relation "v ∉ g" between its
+vertices and its generators, whose two Dowker complexes are the strict
+Taylor complex and K^W, the Alexander dual of Hochster's complex Δ_W.
+Dominated rows and columns are dropped first (_collapse, a strong
+collapse that keeps the homology), and then the smallest bound picks the
+complex on what is left: Taylor when fewer generators than vertices less
+one remain, else Δ′ or K′, whichever is under half of the subsets
+(_top_vector), each grown on bit masks by complexes.grow_faces.  One
+work counter per graded_betti_table call, under complexes.WORK_BUDGET,
+ends any input the face cap does not.  multigraded_betti, and so the
+homology subcommand, builds the unreduced Taylor complex by
+taylor_strict_sub, the route that cross-checks the others.  The field
+characteristic can change a table: for an edge ideal (t = 2) whose
+independence complex triangulates the real projective plane, two entries
+are 1 over GF(2) and 0 over any odd characteristic (Katzman, JCTA 113,
+2006).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .complexes import DEFAULT_FACE_CAP, SizeCapError, grow_faces
+from .complexes import DEFAULT_FACE_CAP, WORK_BUDGET, SizeCapError, grow_faces
 from .graphs import Graph, enumerate_t_paths
 from .homology import DEFAULT_PRIME, homology_of_faces, reduced_homology_dims, validate_prime
 from .ideals import MonomialIdeal, is_lcm_closed, taylor_strict_sub
@@ -90,20 +96,118 @@ def _capped(W: Iterable[int], why: object) -> SizeCapError:
     return SizeCapError(f"multidegree {','.join(map(str, sorted(W)))}: {why}")
 
 
-def _top_vector(C: int, inside: Sequence[int], p_field: int = DEFAULT_PRIME) -> dict[int, int]:
+def _top_vector(
+    C: int,
+    inside: Sequence[int],
+    p_field: int = DEFAULT_PRIME,
+    spend: Callable[[int], None] = lambda n: None,
+) -> dict[int, int]:
     """b_{·,C}(S/I) for a vertex mask C and the masks of the generators inside it.
 
-    The complex with the smaller size bound is used: Taylor (2^k faces, k
-    generators) when k < |C| - 1, else Δ_C and then K^C once Δ_C passes
-    half of the subsets of C (|Δ_C| + |K^C| = 2^|C|) or the face cap.
+    The relation v ∉ g is first shrunk by _collapse to rows X′ and columns
+    Y′, which keeps the homology of both its Dowker complexes.  Then the
+    complex with the smaller size bound is used: Taylor (2^|Y′| faces) when
+    |Y′| < |X′| - 1, else Δ′ and then K′ once Δ′ passes half of the subsets
+    of X′ (|Δ′| + |K′| = 2^|X′|) or the face cap.  A column that misses X′
+    makes K′ the full simplex on X′, so the vector is 0.  spend is charged
+    with the work of the collapse and of each complex as it is made.
     """
-    w = C.bit_count()
-    if len(inside) < w - 1:
-        return _top_on("taylor", C, inside, p_field)
+    X, gens = _collapse(C, inside, spend)
+    if not all(gens):
+        return {}
+    w = X.bit_count()
+    if len(gens) < w - 1:
+        return _top_on("taylor", X, gens, p_field, spend=spend)
+    half = min(1 << (w - 1), DEFAULT_FACE_CAP)
     try:
-        return _top_on("delta", C, inside, p_field, min(1 << (w - 1), DEFAULT_FACE_CAP))
+        return _top_on("delta", X, gens, p_field, half, spend)
     except SizeCapError:
-        return _top_on("dual", C, inside, p_field)
+        # the faces Δ′ grew; when the error was the budget's, this raises it again
+        spend(half * w)
+    return _top_on("dual", X, gens, p_field, spend=spend)
+
+
+def _collapse(
+    C: int, inside: Sequence[int], spend: Callable[[int], None] = lambda n: None
+) -> tuple[int, list[int]]:
+    """Strong collapse of the relation v ∉ g between the vertices of C and the generators inside.
+
+    With through(v) the generators that hold v, a row (vertex) a goes when
+    another live row b has through(b) ⊆ through(a), and a column
+    (generator) g goes when another live column h has h ∩ X ⊆ g ∩ X for the
+    live rows X.  Of equal rows or columns one stays, and so does the last.
+    Each drop keeps one Dowker complex and the homology of both (Dowker,
+    Ann. of Math. 56, 1952; a strong collapse in the sense of Barmak &
+    Minian, Discrete Comput. Geom. 47, 2012).  Row and column passes
+    alternate until one drops nothing; the generators are distinct sets of
+    one size, so no column goes before a row does.  Returns the live rows
+    X′ as a vertex mask and the live columns as the masks g ∩ X′.
+    """
+    bits, cols, rows = _relation(C, inside)
+    spend(len(rows) + len(cols))
+    X, Y = (1 << len(rows)) - 1, (1 << len(cols)) - 1
+    while True:
+        X, tests, dropped = _drop_dominated(rows, cols, X, Y)
+        spend(tests)
+        if not dropped:
+            break
+        Y, tests, dropped = _drop_dominated(cols, rows, Y, X)
+        spend(tests)
+        if not dropped:
+            break
+    live = sum(b for k, b in enumerate(bits) if X >> k & 1)
+    return live, [g & live for j, g in enumerate(inside) if Y >> j & 1]
+
+
+def _relation(C: int, inside: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The relation v ∈ g on positions: the bits of C in increasing order,
+    each generator as the mask of its vertices' positions, and each
+    position as the mask of the generators through it."""
+    bits, rest = [], C
+    while rest:
+        bits.append(rest & -rest)
+        rest &= rest - 1
+    pos = {b: k for k, b in enumerate(bits)}
+    through, gens = [0] * len(bits), []
+    for j, g in enumerate(inside):
+        mask = 0
+        while g:
+            k = pos[g & -g]
+            g &= g - 1
+            mask |= 1 << k
+            through[k] |= 1 << j
+        gens.append(mask)
+    return bits, gens, through
+
+
+def _drop_dominated(of: Sequence[int], other: Sequence[int], live: int, across: int) -> tuple[int, int, bool]:
+    """One domination pass over the live lines on one side of a 0/1 relation.
+
+    of[a] is the mask of the lines across that meet line a, and other[j]
+    the mask of the lines on this side that meet line j.  A live line b
+    drops every other live line that meets all the live lines b meets: the
+    intersection of other[j] over the live j in of[b].  Returns the live
+    mask, the number of lines and intersections visited, and whether a
+    line went.
+    """
+    tests, dropped, rest = 0, False, live
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if not live & b:
+            continue
+        tests += 1
+        common = live
+        meets = of[b.bit_length() - 1] & across
+        while meets and common != b:
+            j = meets & -meets
+            meets ^= j
+            common &= other[j.bit_length() - 1]
+            tests += 1
+        if common != b:
+            live ^= common & ~b
+            dropped = True
+    return live, tests, dropped
 
 
 def _top_on(
@@ -112,6 +216,7 @@ def _top_on(
     inside: Sequence[int],
     p_field: int,
     limit: int = DEFAULT_FACE_CAP,
+    spend: Callable[[int], None] = lambda n: None,
 ) -> dict[int, int]:
     """b_{·,C}(S/I) from one complex; SizeCapError past limit faces.
 
@@ -121,20 +226,23 @@ def _top_on(
     Hochster's Δ_C ("delta", ibid., Cor. 5.12) is given by its minimal
     non-faces, the generators, and b_{i,C} = dim H~_{|C|-i-1}(Δ_C).
     """
-    # the vertices of C in increasing order, and the generators as masks of their positions
-    bits, rest = [], C
-    while rest:
-        bits.append(rest & -rest)
-        rest &= rest - 1
-    gens = [sum(1 << k for k, b in enumerate(bits) if b & g) for g in inside]
+    bits, gens, through = _relation(C, inside)
     w = len(bits)
+    labels = len(gens) if route == "taylor" else w
     if route == "taylor":
-        faces = grow_faces(range(len(gens)), limit, facets=(1 << w) - 1, miss=gens)
+        faces = grow_faces(range(labels), limit, facets=(1 << w) - 1, miss=gens)
     elif route == "dual":
-        miss = [sum(1 << j for j, g in enumerate(gens) if g >> k & 1) for k in range(w)]
-        faces = grow_faces(range(w), limit, facets=(1 << len(gens)) - 1, miss=miss)
+        faces = grow_faces(range(w), limit, facets=(1 << len(gens)) - 1, miss=through)
     else:
-        faces = grow_faces(range(w), limit, nonfaces=[[g for g in gens if g >> k & 1] for k in range(w)])
+        nonfaces: list[list[int]] = [[] for _ in bits]
+        for g in gens:
+            rest = g
+            while rest:
+                nonfaces[(rest & -rest).bit_length() - 1].append(g)
+                rest &= rest - 1
+        faces = grow_faces(range(w), limit, nonfaces=nonfaces)
+    # the relation's size, and at most every label tried on each face
+    spend(w + len(gens) + labels * sum(map(len, faces.values())))
     dims = homology_of_faces(faces, p_field).items()
     return {w - 1 - p: d for p, d in dims} if route == "delta" else {p + 2: d for p, d in dims}
 
@@ -202,13 +310,19 @@ def graded_betti_table(
     v = min U, T(U) = T(U - v) + sum over polymers C of U containing v of
     y^|C| top(C) T(U - C - N(C)), from the vertices on a t-path down to
     T({}) = 1.  top(C) is computed by _top_vector from C and its generator
-    masks, on the strict Taylor complex, Δ_C or K^C, whichever has the
-    smallest bound, each grown by grow_faces with no SimplicialComplex; a
-    SizeCapError names C when that complex is over the face cap.  Top
-    vectors of cliques, trees and unicyclic polymers are cached under the
-    key of _shape, so homology runs once per isomorphism class of those;
-    any other polymer runs homology on each visit.  Explicit stacks keep
-    the call depth constant.  use_memo has no effect.
+    masks: the relation v ∉ g is strong-collapsed, and then the strict
+    Taylor complex, Δ′ or K′ of what is left, whichever has the smallest
+    bound, is grown by grow_faces with no SimplicialComplex; a SizeCapError
+    names C when that complex is over the face cap.  Top vectors of
+    cliques, trees and unicyclic polymers are cached under the key of
+    _shape, so homology runs once per isomorphism class of those; any other
+    polymer runs homology on each visit.  One work counter is charged 1 per
+    state and per polymer frame, |C| per top(C) (the _shape walk), the
+    relation's size and each domination test of a collapse, labels times
+    faces per complex grown, and the entries copied and products made by
+    the summation; past WORK_BUDGET a SizeCapError names the polymer being
+    grown, the count and the budget.  Explicit stacks keep the call depth
+    constant.  use_memo has no effect.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -228,18 +342,34 @@ def graded_betti_table(
     full = sum(b for b, masks in through.items() if masks)
     ids: dict[tuple[int, ...], int] = {}
     tops: dict[tuple, dict[int, int]] = {}
+    # one work counter per call, charged inline on the hot paths
+    work = 0
+
+    def over(C: int) -> SizeCapError:
+        # C is the polymer being grown
+        why = f"work count {work} exceeds the {WORK_BUDGET} work budget"
+        return _capped((v for v, b in bit.items() if b & C), why)
+
+    def spend(n: int, C: int) -> None:
+        nonlocal work
+        work += n
+        if work > WORK_BUDGET:
+            raise over(C)
 
     def alive(u: int, U: int) -> bool:
         # u lies on a t-path inside U; no other vertex of U joins a polymer
         return any(mask & U == mask for mask in through[u])
 
     def top(C: int, inside: tuple[int, ...]) -> dict[int, int]:
+        spend(C.bit_count(), C)
         key = _shape(C, nbr, ids)
         if key in tops:
             return tops[key]
         try:
-            vec = _top_vector(C, inside, p_field)
+            vec = _top_vector(C, inside, p_field, lambda n: spend(n, C))
         except SizeCapError as exc:
+            if work > WORK_BUDGET:
+                raise
             raise _capped((v for v, b in bit.items() if b & C), exc) from exc
         if key is not None:
             tops[key] = vec
@@ -248,6 +378,7 @@ def graded_betti_table(
     def polymer_terms(U: int, v: int) -> list[tuple[int, dict[int, int], int]]:
         # include/exclude search on frontier[0] over frames (C, generators in
         # C, the vertices they cover, C and its neighbours, frontier): each C once
+        nonlocal work
         out = []
         stack = [(0, (), 0, 0, (v,))]
         while stack:
@@ -258,6 +389,9 @@ def graded_betti_table(
             if frontier:
                 stack.append((C, inside, covered, reach, frontier))
             C |= w
+            work += 1
+            if work > WORK_BUDGET:
+                raise over(C)
             for mask in through[w]:
                 if mask & C == mask:
                     inside += (mask,)
@@ -266,7 +400,7 @@ def graded_betti_table(
             reach |= w | nbr[w]
             stack.append((C, inside, covered, reach, frontier + more))
             if covered == C and (vec := top(C, inside)):
-                out.append((C.bit_count(), vec, U & ~reach))
+                out.append((C, vec, U & ~reach))
         return out
 
     # children of a state have a larger minimum: find every state, then
@@ -277,14 +411,24 @@ def graded_betti_table(
         U = todo.pop()
         if U and U not in terms:
             v = U & -U
+            work += 1
+            if work > WORK_BUDGET:
+                raise over(v)
             terms[U] = polymer_terms(U, v) if alive(v, U) else []
             todo.append(U ^ v)
             todo.extend(rest for _, _, rest in terms[U])
     tables = {0: {(0, 0): 1}}
     for U in sorted(terms, key=lambda U: U & -U, reverse=True):
         # a state with no polymer shares the table of U - v
-        acc = dict(tables[U & (U - 1)]) if terms[U] else tables[U & (U - 1)]
-        for size, vec, rest in terms[U]:
+        acc = tables[U & (U - 1)]
+        if terms[U]:
+            acc = dict(acc)
+            work += len(acc)
+        for C, vec, rest in terms[U]:
+            size = C.bit_count()
+            work += len(tables[rest]) * len(vec)
+            if work > WORK_BUDGET:
+                raise over(C)
             for (i, j), b in tables[rest].items():
                 for k, c in vec.items():
                     acc[(i + k, j + size)] = acc.get((i + k, j + size), 0) + b * c

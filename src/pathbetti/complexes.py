@@ -23,10 +23,17 @@ from typing import Iterable, Optional, Sequence
 Face = tuple[int, ...]
 
 DEFAULT_FACE_CAP = 1 << 16
+# steps one graded_betti_table call may take (betti.py says what each step
+# is).  A step is about a microsecond of Python on small graphs: star 17 at
+# t=2, the largest table the tests check, takes 1.5 M steps in 1.4 s, and
+# line 100 at t=2 0.8 M in 0.4 s, where line 4096 at t=2 spends the budget
+# in 1 s and cycle 4096 at t=1, on 4096-bit masks, in 5 s (Python 3.11, one
+# core of a shared two-core x86-64 machine)
+WORK_BUDGET = 4_000_000
 
 
 class SizeCapError(Exception):
-    """A complex exceeded the face cap."""
+    """A complex exceeded the face cap, or a table the work budget."""
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 from conftest import RP2_TRIANGLES
 from pathbetti import (
     BettiTable,
+    MonomialIdeal,
     formula_betti_table,
     graded_betti_table,
     graph_from_edges,
@@ -128,10 +129,14 @@ def test_vertex_side_routes_see_the_field(rp2_complement):
     K = make_complex(RP2_TRIANGLES)
     C = (1 << 12) - 1
     inside = [sum(1 << (v - 1) for v in e) for e in edges]
+    X, gens = betti._collapse(C, inside)
     for prime, want in ((2, {9: 1, 10: 1}), (3, {})):
         assert {12 - p - 1: d for p, d in reduced_homology_dims(K, prime).items()} == want
         assert betti._top_on("delta", C, inside, prime) == want, prime
         assert betti._top_on("dual", C, inside, prime) == want, prime
+        # and on the collapsed relation
+        assert betti._top_on("delta", X, gens, prime) == want, prime
+        assert betti._top_on("dual", X, gens, prime) == want, prime
 
 
 def test_restriction_to_induced_subgraph():
@@ -380,9 +385,10 @@ def _polymers(G, I):
 
 def test_top_vector_routes_agree():
     # per polymer: the strict Taylor complex, Hochster's Δ_W and its dual
-    # K^W give one top vector, and so does the route graded_betti_table picks
+    # K^W give one top vector, so do the three complexes of the collapsed
+    # relation, and so does the route graded_betti_table picks
     rng = random.Random(90210)
-    checked = {"taylor": 0, "delta": 0, "nonzero": 0}
+    checked = {"taylor": 0, "delta": 0, "nonzero": 0, "collapsed": 0}
     for n in range(3, 9):
         for G in [_gnp(rng, n, p) for p in (0.2, 0.35, 0.5, 0.7) for _ in range(2)]:
             for t in (1, 2, 3):
@@ -396,11 +402,22 @@ def test_top_vector_routes_agree():
                     # vertex v is bit v - 1, a generator the mask of its support
                     C = sum(1 << (v - 1) for v in W)
                     inside = [sum(1 << (v - 1) for v in g) for g in J.generators]
+                    X, gens = betti._collapse(C, inside)
+                    assert X & C == X and len(gens) <= len(inside)
+                    checked["collapsed"] += X != C
                     for prime in (2, 32003):
                         want = multigraded_betti(I, W, prime)
                         assert betti._top_on("taylor", C, inside, prime) == want, (G, t, W, prime)
                         assert betti._top_on("delta", C, inside, prime) == want, (G, t, W, prime)
                         assert betti._top_on("dual", C, inside, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("taylor", X, gens, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("dual", X, gens, prime) == want, (G, t, W, prime)
+                        # a column that misses X makes the dual a full simplex; Δ's
+                        # non-faces cannot say so, and _top_vector answers 0 first
+                        if all(gens):
+                            assert betti._top_on("delta", X, gens, prime) == want, (G, t, W, prime)
+                        else:
+                            assert want == {} and len(gens) == 1, (G, t, W, prime)
                         assert betti._top_vector(C, inside, prime) == want, (G, t, W, prime)
                     checked["nonzero"] += bool(want)
     assert min(checked.values()) >= 100, checked
@@ -410,6 +427,14 @@ def test_top_vectors_build_no_simplicial_complex(monkeypatch):
     # every route grows its complex on the polymer's masks: none goes through
     # the ideal's Taylor complex, make_complex or faces_by_dim
     from pathbetti import complexes, homology, ideals
+
+    # after the collapse no polymer met in the suite keeps fewer generators
+    # than vertices less one, so Taylor is reached on a relation with no
+    # dominated row or column: vertex {i, j} of K_4's edges lies on
+    # generators i and j
+    pairs = list(combinations(range(4), 2))
+    sperner = MonomialIdeal(3, tuple(frozenset(k + 1 for k, e in enumerate(pairs) if i in e) for i in range(4)))
+    sperner_want = multigraded_betti(sperner, range(1, 7))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a top vector went through a SimplicialComplex")
@@ -432,11 +457,15 @@ def test_top_vectors_build_no_simplicial_complex(monkeypatch):
         return top_on(route, *args, **kwargs)
 
     monkeypatch.setattr(betti, "_top_on", recorded)
-    for family, n, t, route in (("line", 14, 3, "taylor"), ("cycle", 17, 2, "delta"), ("star", 10, 2, "dual")):
+    for family, n, t, route in (("line", 14, 3, "delta"), ("cycle", 10, 9, "dual")):
         routes.clear()
         got = graded_betti_table(standard_graph(family, n), t).as_dict()
         assert got == formula_betti_table(family, n, t).table.as_dict(), (family, n, t)
         assert route in routes, (family, n, t, routes)
+    routes.clear()
+    inside = [sum(1 << (v - 1) for v in g) for g in sperner.generators]
+    assert betti._top_vector((1 << 6) - 1, inside) == sperner_want
+    assert routes == ["taylor"]
 
 
 def test_vertex_side_answers_past_taylor_cap():

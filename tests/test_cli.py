@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -211,15 +213,16 @@ def test_formula_method_needs_named_family(capsys, ex_file):
 
 
 def test_size_cap_exit(capsys, tmp_path):
-    l23 = tmp_path / "l23.json"
-    l23.write_text(json.dumps({"n": 23, "edges": [[a, a + 1] for a in range(1, 23)]}))
-    rc, _, err = run_cli(capsys, "betti", "--edges", str(l23), "--t", "2")
+    c24 = tmp_path / "c24.json"
+    c24.write_text(json.dumps({"n": 24, "edges": [[a, a % 24 + 1] for a in range(1, 25)]}))
+    rc, _, err = run_cli(capsys, "betti", "--edges", str(c24), "--t", "2")
     assert rc == EXIT_SIZE
     assert "cap" in err
-    # every shorter path fits: Δ_W of a path on w <= 22 vertices has at
-    # most F(24) = 46,368 faces.  The full support does not: Δ_W has
-    # F(25) = 75,025 faces, K^W 2^23 - 75,025 and the Taylor complex more
-    assert "multidegree " + ",".join(map(str, range(1, 24))) + ":" in err
+    # a cycle's relation has no dominated row or column, so nothing
+    # collapses.  Every path of the cycle fits, and so does Δ_W of the whole
+    # cycle up to 23 vertices; on 24, Δ_W has L(24) = 103,682 faces and K^W
+    # 2^24 - 103,682
+    assert "multidegree " + ",".join(map(str, range(1, 25))) + ": complex exceeds the 65536 face cap" in err
 
 
 def test_homology_cap_names_multidegree(capsys, tmp_path, monkeypatch):
@@ -313,12 +316,74 @@ def test_compare_matrices_past_dense_entry_cap(capsys, family, n, t):
 
 
 def test_compare_past_face_cap_names_multidegree(capsys):
-    # the star with 17 leaves: Δ_W has 2^17 + 1 faces, K^W 2^17 - 1, and
-    # the Taylor complex on its 17 generators is over the cap too
-    rc, out, err = run_cli(capsys, "compare", "--star", "17", "--t", "2")
+    rc, out, err = run_cli(capsys, "compare", "--cycle", "24", "--t", "2")
     assert (rc, out) == (EXIT_SIZE, "")
-    support = ",".join(map(str, range(1, 19)))
+    support = ",".join(map(str, range(1, 25)))
     assert f"multidegree {support}: complex exceeds the 65536 face cap" in err
+    # the star with 17 leaves collapses to its leaves, each its own
+    # generator, where Δ_W had 2^17 + 1 faces and K^W 2^17 - 1
+    rc, out, _ = run_cli(capsys, "compare", "--star", "17", "--t", "2")
+    assert (rc, out) == (EXIT_OK, "MATCH (18 entries)\n")
+
+
+@pytest.mark.parametrize("n, t", [(100, 2), (100, 3), (100, 4), (100, 5), (57, 2), (83, 3), (41, 4), (64, 5)])
+def test_compare_long_lines_match(capsys, n, t):
+    # a line's relation collapses from both ends, so no line is over the
+    # face cap; the work budget is what ends the longest ones
+    rc, out, _ = run_cli(capsys, "compare", "--line", str(n), "--t", str(t))
+    assert (rc, out[:7]) == (EXIT_OK, "MATCH ("), (n, t)
+
+
+def _gnp_file(tmp_path, n: int, p: float):
+    rng = random.Random(n)
+    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    path = tmp_path / f"g{n}.json"
+    path.write_text(json.dumps({"n": n, "edges": edges}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "graph, t",
+    [
+        pytest.param(("--line", "4096"), 2, id="line-4096-t2"),
+        pytest.param(("--star", "4096"), 2, id="star-4096-t2"),
+        pytest.param(("--line", "4096"), 1, id="line-4096-t1"),
+        pytest.param(("--cycle", "4096"), 1, id="cycle-4096-t1"),
+        pytest.param(None, 2, id="gnp-22-t2"),
+    ],
+)
+def test_work_budget_exit(capsys, tmp_path, graph, t):
+    # none of these meets a complex over the face cap first: one counter of
+    # states, polymer frames, polymer orders, domination tests, faces and
+    # table products ends each run
+    from pathbetti.complexes import WORK_BUDGET
+
+    argv = graph or ("--edges", _gnp_file(tmp_path, 22, 0.5))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "betti", *argv, "--t", str(t))
+    assert (rc, out) == (EXIT_SIZE, "")
+    assert re.search(rf"multidegree [0-9,]+: work count [0-9]+ exceeds the {WORK_BUDGET} work budget", err), err
+    assert time.perf_counter() - start < 30.0
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    bad = ("betti", "--line", "4", "--t", "2", "--format", "xml")
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    fresh = run_cli(capsys, *bad)
+    monkeypatch.setattr(cli, "_parser", None)
+    built.clear()
+    assert run_cli(capsys, "betti", "--line", "4", "--t", "2")[0] == EXIT_OK
+    again = run_cli(capsys, *bad)
+    assert built == [1]
+    assert again == fresh and fresh[0] == EXIT_USAGE and "invalid choice: 'xml'" in fresh[2]
 
 
 def test_paths_longer_than_recursion_limit(capsys):
