@@ -19,9 +19,9 @@ complex on what is left: Taylor when fewer generators than vertices less
 one remain, else Δ′ or K′, whichever is under half of the subsets
 (_top_vector), each grown on bit masks by complexes.grow_faces.  One
 work counter per graded_betti_table call, under complexes.WORK_BUDGET,
-ends any input the face cap does not.  multigraded_betti, and so the
-homology subcommand, builds the unreduced Taylor complex by
-taylor_strict_sub, the route that cross-checks the others.  The field
+bounds each complex while it grows.  multigraded_betti (the homology
+subcommand) builds the unreduced Taylor complex by taylor_strict_sub
+under the face cap, the route that cross-checks the others.  The field
 characteristic can change a table: for an edge ideal (t = 2) whose
 independence complex triangulates the real projective plane, two entries
 are 1 over GF(2) and 0 over any odd characteristic (Katzman, JCTA 113,
@@ -100,7 +100,7 @@ def _top_vector(
     C: int,
     inside: Sequence[int],
     p_field: int = DEFAULT_PRIME,
-    spend: Callable[[int], None] = lambda n: None,
+    spend: Callable[[int], int] = lambda n: WORK_BUDGET,
 ) -> dict[int, int]:
     """b_{·,C}(S/I) for a vertex mask C and the masks of the generators inside it.
 
@@ -108,9 +108,9 @@ def _top_vector(
     Y′, which keeps the homology of both its Dowker complexes.  Then the
     complex with the smaller size bound is used: Taylor (2^|Y′| faces) when
     |Y′| < |X′| - 1, else Δ′ and then K′ once Δ′ passes half of the subsets
-    of X′ (|Δ′| + |K′| = 2^|X′|) or the face cap.  A column that misses X′
-    makes K′ the full simplex on X′, so the vector is 0.  spend is charged
-    with the work of the collapse and of each complex as it is made.
+    of X′ (|Δ′| + |K′| = 2^|X′|).  A column that misses X′ makes K′ the
+    full simplex on X′, so the vector is 0.  spend charges each step and
+    returns the budget left, which bounds each complex as it grows.
     """
     X, gens = _collapse(C, inside, spend)
     if not all(gens):
@@ -118,13 +118,8 @@ def _top_vector(
     w = X.bit_count()
     if len(gens) < w - 1:
         return _top_on("taylor", X, gens, p_field, spend=spend)
-    half = min(1 << (w - 1), DEFAULT_FACE_CAP)
-    try:
-        return _top_on("delta", X, gens, p_field, half, spend)
-    except SizeCapError:
-        # the faces Δ′ grew; when the error was the budget's, this raises it again
-        spend(half * w)
-    return _top_on("dual", X, gens, p_field, spend=spend)
+    vec = _top_on("delta", X, gens, p_field, 1 << (w - 1), spend)
+    return _top_on("dual", X, gens, p_field, spend=spend) if vec is None else vec
 
 
 def _collapse(
@@ -215,10 +210,10 @@ def _top_on(
     C: int,
     inside: Sequence[int],
     p_field: int,
-    limit: int = DEFAULT_FACE_CAP,
-    spend: Callable[[int], None] = lambda n: None,
-) -> dict[int, int]:
-    """b_{·,C}(S/I) from one complex; SizeCapError past limit faces.
+    limit: float = float("inf"),
+    spend: Callable[[int], int] = lambda n: WORK_BUDGET,
+) -> Optional[dict[int, int]]:
+    """b_{·,C}(S/I) from one complex, or None past limit faces (spend raises past the budget).
 
     The strict Taylor complex ("taylor") and K^C ("dual", Miller & Sturmfels,
     Combinatorial Commutative Algebra, Thm. 1.34) are the Dowker complexes
@@ -230,9 +225,9 @@ def _top_on(
     w = len(bits)
     labels = len(gens) if route == "taylor" else w
     if route == "taylor":
-        faces = grow_faces(range(labels), limit, facets=(1 << w) - 1, miss=gens)
+        shape = {"facets": (1 << w) - 1, "miss": gens}
     elif route == "dual":
-        faces = grow_faces(range(w), limit, facets=(1 << len(gens)) - 1, miss=through)
+        shape = {"facets": (1 << len(gens)) - 1, "miss": through}
     else:
         nonfaces: list[list[int]] = [[] for _ in bits]
         for g in gens:
@@ -240,9 +235,16 @@ def _top_on(
             while rest:
                 nonfaces[(rest & -rest).bit_length() - 1].append(g)
                 rest &= rest - 1
-        faces = grow_faces(range(w), limit, nonfaces=nonfaces)
-    # the relation's size, and at most every label tried on each face
-    spend(w + len(gens) + labels * sum(map(len, faces.values())))
+        shape = {"nonfaces": nonfaces}
+    # the relation's size, then at most every label tried on each face
+    limit = min(limit, spend(w + len(gens)) // labels)
+    try:
+        faces = grow_faces(range(labels), limit, **shape)
+    except SizeCapError:
+        # the faces grown, up to face limit + 1: past the budget, spend raises
+        spend(labels * (limit + 1))
+        return None
+    spend(labels * sum(map(len, faces.values())))
     dims = homology_of_faces(faces, p_field).items()
     return {w - 1 - p: d for p, d in dims} if route == "delta" else {p + 2: d for p, d in dims}
 
@@ -312,17 +314,17 @@ def graded_betti_table(
     T({}) = 1.  top(C) is computed by _top_vector from C and its generator
     masks: the relation v ∉ g is strong-collapsed, and then the strict
     Taylor complex, Δ′ or K′ of what is left, whichever has the smallest
-    bound, is grown by grow_faces with no SimplicialComplex; a SizeCapError
-    names C when that complex is over the face cap.  Top vectors of
-    cliques, trees and unicyclic polymers are cached under the key of
+    bound, is grown by grow_faces with no SimplicialComplex.  Top vectors
+    of cliques, trees and unicyclic polymers are cached under the key of
     _shape, so homology runs once per isomorphism class of those; any other
     polymer runs homology on each visit.  One work counter is charged 1 per
     state and per polymer frame, |C| per top(C) (the _shape walk), the
-    relation's size and each domination test of a collapse, labels times
-    faces per complex grown, and the entries copied and products made by
-    the summation; past WORK_BUDGET a SizeCapError names the polymer being
-    grown, the count and the budget.  Explicit stacks keep the call depth
-    constant.  use_memo has no effect.
+    relation's size and each domination test of a collapse, labels per
+    face as a complex grows, and the entries copied and products made by
+    the summation.  It is the one limit: past WORK_BUDGET, by at most one
+    face's charge, a SizeCapError names the polymer being grown, the
+    count and the budget.  Explicit stacks keep the call depth constant.
+    use_memo has no effect.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -350,11 +352,12 @@ def graded_betti_table(
         why = f"work count {work} exceeds the {WORK_BUDGET} work budget"
         return _capped((v for v, b in bit.items() if b & C), why)
 
-    def spend(n: int, C: int) -> None:
+    def spend(n: int, C: int) -> int:
         nonlocal work
         work += n
         if work > WORK_BUDGET:
             raise over(C)
+        return WORK_BUDGET - work
 
     def alive(u: int, U: int) -> bool:
         # u lies on a t-path inside U; no other vertex of U joins a polymer
@@ -365,12 +368,7 @@ def graded_betti_table(
         key = _shape(C, nbr, ids)
         if key in tops:
             return tops[key]
-        try:
-            vec = _top_vector(C, inside, p_field, lambda n: spend(n, C))
-        except SizeCapError as exc:
-            if work > WORK_BUDGET:
-                raise
-            raise _capped((v for v, b in bit.items() if b & C), exc) from exc
+        vec = _top_vector(C, inside, p_field, lambda n: spend(n, C))
         if key is not None:
             tops[key] = vec
         return vec

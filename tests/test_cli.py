@@ -213,16 +213,17 @@ def test_formula_method_needs_named_family(capsys, ex_file):
 
 
 def test_size_cap_exit(capsys, tmp_path):
-    c24 = tmp_path / "c24.json"
-    c24.write_text(json.dumps({"n": 24, "edges": [[a, a % 24 + 1] for a in range(1, 25)]}))
-    rc, _, err = run_cli(capsys, "betti", "--edges", str(c24), "--t", "2")
-    assert rc == EXIT_SIZE
-    assert "cap" in err
+    from pathbetti.complexes import WORK_BUDGET
+
+    c26 = tmp_path / "c26.json"
+    c26.write_text(json.dumps({"n": 26, "edges": [[a, a % 26 + 1] for a in range(1, 27)]}))
+    rc, out, err = run_cli(capsys, "betti", "--edges", str(c26), "--t", "2")
+    assert (rc, out) == (EXIT_SIZE, "")
     # a cycle's relation has no dominated row or column, so nothing
-    # collapses.  Every path of the cycle fits, and so does Δ_W of the whole
-    # cycle up to 23 vertices; on 24, Δ_W has L(24) = 103,682 faces and K^W
-    # 2^24 - 103,682
-    assert "multidegree " + ",".join(map(str, range(1, 25))) + ": complex exceeds the 65536 face cap" in err
+    # collapses.  Δ_W of the whole cycle has L(26) = 271,443 faces, far
+    # under half of 2^26, so it is the route, and the work budget ends it
+    support = ",".join(map(str, range(1, 27)))
+    assert re.search(rf"multidegree {support}: work count [0-9]+ exceeds the {WORK_BUDGET} work budget", err), err
 
 
 def test_homology_cap_names_multidegree(capsys, tmp_path, monkeypatch):
@@ -316,10 +317,16 @@ def test_compare_matrices_past_dense_entry_cap(capsys, family, n, t):
 
 
 def test_compare_past_face_cap_names_multidegree(capsys):
-    rc, out, err = run_cli(capsys, "compare", "--cycle", "24", "--t", "2")
+    from pathbetti.complexes import WORK_BUDGET
+
+    # Δ_W of the whole cycle 24 has L(24) = 103,682 faces, past the old
+    # 2^16 face cap; the work budget alone bounds it now
+    rc, out, _ = run_cli(capsys, "compare", "--cycle", "24", "--t", "2")
+    assert (rc, out) == (EXIT_OK, "MATCH (45 entries)\n")
+    rc, out, err = run_cli(capsys, "compare", "--cycle", "26", "--t", "2")
     assert (rc, out) == (EXIT_SIZE, "")
-    support = ",".join(map(str, range(1, 25)))
-    assert f"multidegree {support}: complex exceeds the 65536 face cap" in err
+    support = ",".join(map(str, range(1, 27)))
+    assert re.search(rf"multidegree {support}: work count [0-9]+ exceeds the {WORK_BUDGET} work budget", err), err
     # the star with 17 leaves collapses to its leaves, each its own
     # generator, where Δ_W had 2^17 + 1 faces and K^W 2^17 - 1
     rc, out, _ = run_cli(capsys, "compare", "--star", "17", "--t", "2")
@@ -353,9 +360,8 @@ def _gnp_file(tmp_path, n: int, p: float):
     ],
 )
 def test_work_budget_exit(capsys, tmp_path, graph, t):
-    # none of these meets a complex over the face cap first: one counter of
-    # states, polymer frames, polymer orders, domination tests, faces and
-    # table products ends each run
+    # one counter of states, polymer frames, polymer orders, domination
+    # tests, faces and table products ends each run
     from pathbetti.complexes import WORK_BUDGET
 
     argv = graph or ("--edges", _gnp_file(tmp_path, 22, 0.5))
@@ -364,6 +370,17 @@ def test_work_budget_exit(capsys, tmp_path, graph, t):
     assert (rc, out) == (EXIT_SIZE, "")
     assert re.search(rf"multidegree [0-9,]+: work count [0-9]+ exceeds the {WORK_BUDGET} work budget", err), err
     assert time.perf_counter() - start < 30.0
+
+
+def test_budget_overshoot_is_one_face(capsys, tmp_path):
+    # faces are charged as they grow, each |C| <= 22 steps, so the count
+    # stops within one face's charge of the budget
+    from pathbetti.complexes import WORK_BUDGET
+
+    rc, out, err = run_cli(capsys, "betti", "--edges", _gnp_file(tmp_path, 22, 0.5), "--t", "2")
+    assert (rc, out) == (EXIT_SIZE, "")
+    count = int(re.search(r"work count ([0-9]+) exceeds", err).group(1))
+    assert WORK_BUDGET < count <= WORK_BUDGET + 22, err
 
 
 def test_parser_built_once(capsys, monkeypatch):
