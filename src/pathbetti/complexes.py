@@ -22,18 +22,20 @@ from typing import Iterable, Optional, Sequence
 
 Face = tuple[int, ...]
 
+# faces of one complex built by faces_by_dim, the unreduced cross-check
 DEFAULT_FACE_CAP = 1 << 16
-# steps one graded_betti_table call may take (betti.py says what each step
-# is).  A step is about a microsecond of Python on small graphs: star 17 at
-# t=2, the largest table the tests check, takes 1.5 M steps in 1.4 s, and
-# line 100 at t=2 0.8 M in 0.4 s, where line 4096 at t=2 spends the budget
-# in 1 s and cycle 4096 at t=1, on 4096-bit masks, in 5 s (Python 3.11, one
-# core of a shared two-core x86-64 machine)
+# steps one graded_betti_table call, or one t-path search, may take (betti.py
+# and graphs.py say what each step is).  A step is about a microsecond of
+# Python on small graphs: star 17 at t=2 takes 1.5 M steps in 1.4 s, cycle
+# 24 at t=2 2.5 M in 0.55 s, and line 100 at t=2 0.8 M in 0.4 s, where line
+# 4096 at t=2 spends the budget in 1 s and cycle 4096 at t=1, on 4096-bit
+# masks, in 5 s (Python 3.11, one core of a shared two-core x86-64 machine)
 WORK_BUDGET = 4_000_000
 
 
 class SizeCapError(Exception):
-    """A complex exceeded the face cap, or a table the work budget."""
+    """A complex of faces_by_dim exceeded the face cap, or a Betti table or a
+    t-path search the work budget."""
 
 
 @dataclass(frozen=True)

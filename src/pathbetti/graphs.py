@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .complexes import WORK_BUDGET, SizeCapError
+
 _FAMILIES = ("line", "cycle", "star")
 
 # Largest vertex count accepted from an explicit edge list, and largest N
@@ -117,7 +119,9 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
 
     t = 1 gives all singletons and t = 2 the edge set.  A support appears
     once no matter how many paths trace it.  With t above the vertex
-    count there is none, and the search is not started.
+    count there is none, and the search is not started.  The search walks
+    every path, not every support, so it takes one step per neighbour
+    tried and raises SizeCapError, naming n and t, past WORK_BUDGET steps.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -127,17 +131,24 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
         return [frozenset({v}) for v in G.vertices]
     adj = G.adjacency()
     supports: set[frozenset[int]] = set()
+    steps = 0
     for start in G.vertices:
         # depth-first on a stack of neighbour iterators, one per vertex of
         # the path so far, so t never bounds the call depth
         path, on_path, stack = [start], {start}, [iter(adj[start])]
+        steps += len(adj[start])
         while stack:
+            # a neighbour list is charged whole when its iterator is stacked
+            if steps > WORK_BUDGET:
+                why = f"work count {steps} exceeds the {WORK_BUDGET} work budget"
+                raise SizeCapError(f"t-paths n={G.n}, t={t}: {why}")
             for nb in stack[-1]:
                 if nb not in on_path:
                     on_path.add(nb)
                     if len(on_path) < t:
                         path.append(nb)
                         stack.append(iter(adj[nb]))
+                        steps += len(adj[nb])
                         break
                     supports.add(frozenset(on_path))
                     on_path.remove(nb)

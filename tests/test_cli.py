@@ -383,6 +383,20 @@ def test_budget_overshoot_is_one_face(capsys, tmp_path):
     assert WORK_BUDGET < count <= WORK_BUDGET + 22, err
 
 
+@pytest.mark.parametrize("command", ["paths", "betti", "homology"])
+def test_path_search_exits_at_budget(capsys, tmp_path, command):
+    # K_16 has 5.2e8 simple paths on 8 vertices for 12,870 supports
+    from pathbetti.complexes import WORK_BUDGET
+
+    k16 = tmp_path / "k16.json"
+    k16.write_text(json.dumps({"n": 16, "edges": [[a, b] for a in range(1, 17) for b in range(a + 1, 17)]}))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, command, "--edges", str(k16), "--t", "8")
+    assert (rc, out) == (EXIT_SIZE, "")
+    assert "n=16, t=8: work count" in err and f"exceeds the {WORK_BUDGET} work budget" in err, err
+    assert time.perf_counter() - start < 5.0
+
+
 def test_parser_built_once(capsys, monkeypatch):
     built = []
     build = cli.build_parser
