@@ -321,10 +321,10 @@ def graded_betti_table(
     state and per polymer frame, |C| per top(C) (the _shape walk), the
     relation's size and each domination test of a collapse, labels per
     face as a complex grows, and the entries copied and products made by
-    the summation.  It is the one limit: past WORK_BUDGET, by at most one
-    face's charge, a SizeCapError names the polymer being grown, the
-    count and the budget.  Explicit stacks keep the call depth constant.
-    use_memo has no effect.
+    the summation.  It is the one limit, and no complex passes it by more
+    than one face's charge: past WORK_BUDGET a SizeCapError names the
+    polymer being grown, the count and the budget.  Explicit stacks keep
+    the call depth constant.  use_memo has no effect.
     """
     if t < 1:
         raise ValueError("need t >= 1")

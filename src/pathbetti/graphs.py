@@ -120,8 +120,8 @@ def enumerate_t_paths(G: Graph, t: int) -> list[frozenset[int]]:
     t = 1 gives all singletons and t = 2 the edge set.  A support appears
     once no matter how many paths trace it.  With t above the vertex
     count there is none, and the search is not started.  The search walks
-    every path, not every support, so it takes one step per neighbour
-    tried and raises SizeCapError, naming n and t, past WORK_BUDGET steps.
+    every path, not every support: it counts one step per neighbour tried
+    and raises SizeCapError, naming n and t, past WORK_BUDGET steps.
     """
     if t < 1:
         raise ValueError("need t >= 1")
