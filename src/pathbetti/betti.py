@@ -7,17 +7,17 @@ restriction and product rule: W is lcm-closed exactly when every
 component of G_W is, and b_{·,W} is the convolution of those components'
 top vectors.  The table is therefore the independence polynomial of the
 polymers (connected lcm-closed sets), which graded_betti_table computes
-by one memoised recursion.  Homology runs once per isomorphism class of
-polymer that is a clique, a tree or unicyclic, keyed in linear time by
-leaf peeling (_shape), and once per visit of any other polymer.  A
-polymer's top vector comes from the relation "v ∉ g" between its
-vertices and its generators, whose two Dowker complexes are the strict
-Taylor complex and K^W, the Alexander dual of Hochster's complex Δ_W.
-Dominated rows and columns are dropped first (_collapse, a strong
-collapse that keeps the homology), and then the smallest bound picks the
-complex on what is left: Taylor when fewer generators than vertices less
-one remain, else Δ′ or K′, whichever is under half of the subsets
-(_top_vector), each grown on bit masks by complexes.grow_faces.  One
+by one memoised recursion.  A polymer's top vector comes from the
+relation "v ∉ g" between its vertices and its generators, whose two
+Dowker complexes are the strict Taylor complex and K^W, the Alexander
+dual of Hochster's complex Δ_W.  The relation on positions (_relation)
+fixes the vector, so it keys the cache, and so does what is left of it
+after dominated rows and columns are dropped (_collapse, a strong
+collapse that keeps the homology): homology runs once per distinct
+collapsed relation, whatever the polymer's shape.  The smallest bound
+picks the complex on what is left: Taylor when fewer generators than
+vertices less one remain, else Δ′ or K′, whichever is under half of the
+subsets (_top_vector), each grown on bit masks by complexes.grow_faces.  One
 work counter per graded_betti_table call, under complexes.WORK_BUDGET,
 bounds each complex while it grows.  multigraded_betti (the homology
 subcommand) builds the unreduced Taylor complex by taylor_strict_sub
@@ -97,35 +97,33 @@ def _capped(W: Iterable[int], why: object) -> SizeCapError:
 
 
 def _top_vector(
-    C: int,
-    inside: Sequence[int],
+    w: int,
+    gens: Sequence[int],
     p_field: int = DEFAULT_PRIME,
     spend: Callable[[int], int] = lambda n: WORK_BUDGET,
 ) -> dict[int, int]:
-    """b_{·,C}(S/I) for a vertex mask C and the masks of the generators inside it.
+    """b_{·,C}(S/I) from the collapsed relation (w, gens) of C, as _collapse returns it.
 
-    The relation v ∉ g is first shrunk by _collapse to rows X′ and columns
-    Y′, which keeps the homology of both its Dowker complexes.  Then the
-    complex with the smaller size bound is used: Taylor (2^|Y′| faces) when
-    |Y′| < |X′| - 1, else Δ′ and then K′ once Δ′ passes half of the subsets
-    of X′ (|Δ′| + |K′| = 2^|X′|).  A column that misses X′ makes K′ the
-    full simplex on X′, so the vector is 0.  spend charges each step and
-    returns the budget left, which bounds each complex as it grows.
+    The rows X′ are the positions 0..w-1 and the columns Y′ the masks gens.
+    The complex with the smaller size bound is used: Taylor (2^|Y′| faces),
+    which is K′ of the transposed relation, when |Y′| < w - 1, else Δ′ and
+    then K′ once Δ′ passes half of the subsets of X′ (|Δ′| + |K′| = 2^w).
+    A column that misses X′ makes K′ the full simplex on X′, so the vector
+    is 0.  spend charges each step and returns the budget left, which
+    bounds each complex as it grows.
     """
-    X, gens = _collapse(C, inside, spend)
     if not all(gens):
         return {}
-    w = X.bit_count()
     if len(gens) < w - 1:
-        return _top_on("taylor", X, gens, p_field, spend=spend)
-    vec = _top_on("delta", X, gens, p_field, 1 << (w - 1), spend)
-    return _top_on("dual", X, gens, p_field, spend=spend) if vec is None else vec
+        return _top_on("dual", len(gens), _transpose(w, gens), p_field, spend=spend)
+    vec = _top_on("delta", w, gens, p_field, 1 << (w - 1), spend)
+    return _top_on("dual", w, gens, p_field, spend=spend) if vec is None else vec
 
 
 def _collapse(
-    C: int, inside: Sequence[int], spend: Callable[[int], None] = lambda n: None
-) -> tuple[int, list[int]]:
-    """Strong collapse of the relation v ∉ g between the vertices of C and the generators inside.
+    w: int, gens: Sequence[int], spend: Callable[[int], None] = lambda n: None
+) -> tuple[int, tuple[int, ...]]:
+    """Strong collapse of the relation v ∉ g, given as _relation builds it.
 
     With through(v) the generators that hold v, a row (vertex) a goes when
     another live row b has through(b) ⊆ through(a), and a column
@@ -135,44 +133,54 @@ def _collapse(
     Ann. of Math. 56, 1952; a strong collapse in the sense of Barmak &
     Minian, Discrete Comput. Geom. 47, 2012).  Row and column passes
     alternate until one drops nothing; the generators are distinct sets of
-    one size, so no column goes before a row does.  Returns the live rows
-    X′ as a vertex mask and the live columns as the masks g ∩ X′.
+    one size, so no column goes before a row does.  Returns _relation of
+    the live rows X′ and the live columns g ∩ X′, so X′ is renumbered
+    0..w′-1.
     """
-    bits, cols, rows = _relation(C, inside)
-    spend(len(rows) + len(cols))
-    X, Y = (1 << len(rows)) - 1, (1 << len(cols)) - 1
+    through = _transpose(w, gens)
+    spend(w + len(gens))
+    X, Y = (1 << w) - 1, (1 << len(gens)) - 1
     while True:
-        X, tests, dropped = _drop_dominated(rows, cols, X, Y)
+        X, tests, dropped = _drop_dominated(through, gens, X, Y)
         spend(tests)
         if not dropped:
             break
-        Y, tests, dropped = _drop_dominated(cols, rows, Y, X)
+        Y, tests, dropped = _drop_dominated(gens, through, Y, X)
         spend(tests)
         if not dropped:
             break
-    live = sum(b for k, b in enumerate(bits) if X >> k & 1)
-    return live, [g & live for j, g in enumerate(inside) if Y >> j & 1]
+    return _relation(X, [g & X for j, g in enumerate(gens) if Y >> j & 1])
 
 
-def _relation(C: int, inside: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """The relation v ∈ g on positions: the bits of C in increasing order,
-    each generator as the mask of its vertices' positions, and each
-    position as the mask of the generators through it."""
-    bits, rest = [], C
+def _relation(C: int, inside: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """The relation v ∈ g on positions: the number w of bits of C and the
+    generators as the sorted masks of their vertices' positions among those
+    bits.  It fixes the top vector, so it is the top-vector cache's key."""
+    pos, rest = {}, C
     while rest:
-        bits.append(rest & -rest)
-        rest &= rest - 1
-    pos = {b: k for k, b in enumerate(bits)}
-    through, gens = [0] * len(bits), []
-    for j, g in enumerate(inside):
+        low = rest & -rest
+        pos[low] = 1 << len(pos)
+        rest ^= low
+    gens = []
+    for g in inside:
         mask = 0
         while g:
-            k = pos[g & -g]
-            g &= g - 1
-            mask |= 1 << k
-            through[k] |= 1 << j
+            low = g & -g
+            mask |= pos[low]
+            g ^= low
         gens.append(mask)
-    return bits, gens, through
+    return len(pos), tuple(sorted(gens))
+
+
+def _transpose(w: int, gens: Sequence[int]) -> list[int]:
+    """Each position 0..w-1 as the mask of the generators through it."""
+    through = [0] * w
+    for j, g in enumerate(gens):
+        while g:
+            low = g & -g
+            through[low.bit_length() - 1] |= 1 << j
+            g ^= low
+    return through
 
 
 def _drop_dominated(of: Sequence[int], other: Sequence[int], live: int, across: int) -> tuple[int, int, bool]:
@@ -207,96 +215,43 @@ def _drop_dominated(of: Sequence[int], other: Sequence[int], live: int, across: 
 
 def _top_on(
     route: str,
-    C: int,
-    inside: Sequence[int],
+    w: int,
+    gens: Sequence[int],
     p_field: int,
     limit: float = float("inf"),
     spend: Callable[[int], int] = lambda n: WORK_BUDGET,
 ) -> Optional[dict[int, int]]:
-    """b_{·,C}(S/I) from one complex, or None past limit faces (spend raises past the budget).
+    """b_{·,C}(S/I) from one complex on the rows 0..w-1 of the relation
+    (w, gens), or None past limit faces (spend raises past the budget).
 
-    The strict Taylor complex ("taylor") and K^C ("dual", Miller & Sturmfels,
-    Combinatorial Commutative Algebra, Thm. 1.34) are the Dowker complexes
-    of v ∉ g, given by their facets, and b_{i,C} = dim H~_{i-2} on both.
-    Hochster's Δ_C ("delta", ibid., Cor. 5.12) is given by its minimal
-    non-faces, the generators, and b_{i,C} = dim H~_{|C|-i-1}(Δ_C).
+    K^C ("dual", Miller & Sturmfels, Combinatorial Commutative Algebra,
+    Thm. 1.34) is the Dowker complex of v ∉ g on the rows, given by its
+    facets, and b_{i,C} = dim H~_{i-2}(K^C); on the transposed relation it
+    is the strict Taylor complex, in the same degrees.  Hochster's Δ_C
+    ("delta", ibid., Cor. 5.12) is given by its minimal non-faces, the
+    generators, and b_{i,C} = dim H~_{w-i-1}(Δ_C).
     """
-    bits, gens, through = _relation(C, inside)
-    w = len(bits)
-    labels = len(gens) if route == "taylor" else w
-    if route == "taylor":
-        shape = {"facets": (1 << w) - 1, "miss": gens}
-    elif route == "dual":
-        shape = {"facets": (1 << len(gens)) - 1, "miss": through}
+    if route == "dual":
+        shape = {"facets": (1 << len(gens)) - 1, "miss": _transpose(w, gens)}
     else:
-        nonfaces: list[list[int]] = [[] for _ in bits]
+        nonfaces: list[list[int]] = [[] for _ in range(w)]
         for g in gens:
             rest = g
             while rest:
                 nonfaces[(rest & -rest).bit_length() - 1].append(g)
                 rest &= rest - 1
         shape = {"nonfaces": nonfaces}
-    # the relation's size, then at most every label tried on each face
-    limit = min(limit, spend(w + len(gens)) // labels)
+    # the relation's size, then at most every row tried on each face
+    limit = min(limit, spend(w + len(gens)) // w)
     try:
-        faces = grow_faces(range(labels), limit, **shape)
+        faces = grow_faces(range(w), limit, **shape)
     except SizeCapError:
         # the faces grown, up to face limit + 1: past the budget, spend raises
-        spend(labels * (limit + 1))
+        spend(w * (limit + 1))
         return None
-    spend(labels * sum(map(len, faces.values())))
+    spend(w * sum(map(len, faces.values())))
     dims = homology_of_faces(faces, p_field).items()
     return {w - 1 - p: d for p, d in dims} if route == "delta" else {p + 2: d for p, d in dims}
-
-
-def _shape(C: int, nbr: Mapping[int, int], ids: dict[tuple[int, ...], int]) -> Optional[tuple]:
-    """Isomorphism key of the connected graph on the vertex mask C, or None.
-
-    nbr maps a vertex bit to the mask of its neighbours; ids numbers the
-    rooted trees met so far and is shared by every key it is to be compared
-    with.  A clique is keyed by its order.  A graph with at most one cycle
-    sheds its leaves layer by layer, and a shed vertex is numbered by the
-    sorted numbers of the vertices shed into it (AHU tree isomorphism, Aho,
-    Hopcroft & Ullman 1974).  A tree is then keyed by the numbers of its
-    one or two centres, a unicyclic graph by the least rotation, either way
-    round, of the numbers around its cycle.  Keyed graphs share a key
-    exactly when they are isomorphic; any other graph gets None.
-    """
-    deg: dict[int, int] = {}
-    rest = C
-    while rest:
-        v = rest & -rest
-        rest ^= v
-        deg[v] = (nbr[v] & C).bit_count()
-    n, m = len(deg), sum(deg.values()) // 2
-    if 2 * m == n * (n - 1):
-        return ("clique", n)
-    if m > n:
-        return None
-    kids: dict[int, list[int]] = {v: [] for v in deg}
-
-    def number(v: int) -> int:
-        return ids.setdefault(tuple(sorted(kids[v])), len(ids))
-
-    leaves = [v for v, d in deg.items() if d == 1]
-    while leaves and C.bit_count() > 2:
-        layer, leaves = leaves, []
-        for v in layer:
-            C ^= v
-            u = nbr[v] & C
-            kids[u].append(number(v))
-            deg[u] -= 1
-            if deg[u] == 1:
-                leaves.append(u)
-    if m < n:
-        return tuple(sorted(number(v) for v in deg if v & C))
-    start = prev = C & -C
-    ends = nbr[start] & C
-    cur, ring = ends & -ends, [number(start)]
-    while cur != start:
-        ring.append(number(cur))
-        prev, cur = cur, nbr[cur] & C & ~prev
-    return min(tuple(r[k:] + r[:k]) for r in (ring, ring[::-1]) for k in range(len(ring)))
 
 
 def graded_betti_table(
@@ -311,15 +266,17 @@ def graded_betti_table(
     of pairwise non-adjacent polymers (connected lcm-closed sets).  With
     v = min U, T(U) = T(U - v) + sum over polymers C of U containing v of
     y^|C| top(C) T(U - C - N(C)), from the vertices on a t-path down to
-    T({}) = 1.  top(C) is computed by _top_vector from C and its generator
-    masks: the relation v ∉ g is strong-collapsed, and then the strict
-    Taylor complex, Δ′ or K′ of what is left, whichever has the smallest
-    bound, is grown by grow_faces with no SimplicialComplex.  Top vectors
-    of cliques, trees and unicyclic polymers are cached under the key of
-    _shape, so homology runs once per isomorphism class of those; any other
-    polymer runs homology on each visit.  One work counter is charged 1 per
-    state and per polymer frame, |C| per top(C) (the _shape walk), the
-    relation's size and each domination test of a collapse, labels per
+    T({}) = 1.  top(C) builds the relation v ∉ g on positions by
+    _relation and returns the vector cached under it, if any.  Else
+    _collapse strong-collapses it, and the collapsed relation is looked up
+    in turn; on a second miss _top_vector grows the strict Taylor complex,
+    Δ′ or K′ of it, whichever has the smallest bound, by grow_faces with
+    no SimplicialComplex.  The vector is stored under both relations.  Each
+    is the whole input of the work it saves, up to the order of its
+    columns, so both keys are exact, and homology runs once per distinct
+    collapsed relation.  One work counter is charged 1 per state and per
+    polymer frame, |C| per top(C), the relation's size and each domination
+    test of a collapse (so each stored key has been paid for), labels per
     face as a complex grows, and the entries copied and products made by
     the summation.  It is the one limit, and no complex passes it by more
     than one face's charge: past WORK_BUDGET a SizeCapError names the
@@ -342,8 +299,7 @@ def graded_betti_table(
         for v in g:
             through[bit[v]].append(mask)
     full = sum(b for b, masks in through.items() if masks)
-    ids: dict[tuple[int, ...], int] = {}
-    tops: dict[tuple, dict[int, int]] = {}
+    tops: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
     # one work counter per call, charged inline on the hot paths
     work = 0
 
@@ -364,14 +320,15 @@ def graded_betti_table(
         return any(mask & U == mask for mask in through[u])
 
     def top(C: int, inside: tuple[int, ...]) -> dict[int, int]:
+        # the relation and its collapse are both exact keys; a hit on the first skips the collapse
         spend(C.bit_count(), C)
-        key = _shape(C, nbr, ids)
-        if key in tops:
-            return tops[key]
-        vec = _top_vector(C, inside, p_field, lambda n: spend(n, C))
-        if key is not None:
-            tops[key] = vec
-        return vec
+        key = _relation(C, inside)
+        if key not in tops:
+            cut = _collapse(*key, lambda n: spend(n, C))
+            if cut not in tops:
+                tops[cut] = _top_vector(*cut, p_field, lambda n: spend(n, C))
+            tops[key] = tops[cut]
+        return tops[key]
 
     def polymer_terms(U: int, v: int) -> list[tuple[int, dict[int, int], int]]:
         # include/exclude search on frontier[0] over frames (C, generators in

@@ -26,7 +26,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
 
-MEMO_HELP = "accepted for compatibility, no effect: the isomorphism cache is always on"
+MEMO_HELP = "accepted for compatibility, no effect: the top-vector cache is always on"
 
 
 def _add_graph_flags(sp: argparse.ArgumentParser, with_edges: bool = True) -> None:
@@ -268,7 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SizeCapError as exc:
-        print(f"error: {exc} (a named family may work via --method formula)", file=sys.stderr)
+        # only betti has --method, and its formula route takes named families only
+        named = args.command == "betti" and args.edges is None
+        hint = " (a named family may work via --method formula)" if named else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_SIZE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -129,14 +129,15 @@ def test_vertex_side_routes_see_the_field(rp2_complement):
     K = make_complex(RP2_TRIANGLES)
     C = (1 << 12) - 1
     inside = [sum(1 << (v - 1) for v in e) for e in edges]
-    X, gens = betti._collapse(C, inside)
+    rel = betti._relation(C, inside)
+    cut = betti._collapse(*rel)
     for prime, want in ((2, {9: 1, 10: 1}), (3, {})):
         assert {12 - p - 1: d for p, d in reduced_homology_dims(K, prime).items()} == want
-        assert betti._top_on("delta", C, inside, prime) == want, prime
-        assert betti._top_on("dual", C, inside, prime) == want, prime
+        assert betti._top_on("delta", *rel, prime) == want, prime
+        assert betti._top_on("dual", *rel, prime) == want, prime
         # and on the collapsed relation
-        assert betti._top_on("delta", X, gens, prime) == want, prime
-        assert betti._top_on("dual", X, gens, prime) == want, prime
+        assert betti._top_on("delta", *cut, prime) == want, prime
+        assert betti._top_on("dual", *cut, prime) == want, prime
 
 
 def test_restriction_to_induced_subgraph():
@@ -210,24 +211,30 @@ def test_product_rule_for_disjoint_union():
     assert got == expected == {}
 
 
-@pytest.mark.parametrize(
-    "family, n, t, calls",
-    [("star", 10, 2, 10), ("cycle", 12, 2, 11), ("line", 14, 3, 12), ("star", 6, 3, 5)],
-)
-def test_homology_runs_once_per_polymer_class(monkeypatch, family, n, t, calls):
-    # every polymer here is a tree, a cycle or a clique, so each
-    # isomorphism class of polymer costs one top-vector homology run
+@pytest.fixture
+def runs(monkeypatch):
+    """The collapsed relations (w, gens) that _top_vector runs homology on, in order."""
     seen = []
     top_vector = betti._top_vector
 
     def counted(*args, **kwargs):
-        seen.append(args)
+        seen.append(args[:2])
         return top_vector(*args, **kwargs)
 
     monkeypatch.setattr(betti, "_top_vector", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "family, n, t, calls",
+    [("star", 10, 2, 10), ("cycle", 12, 2, 9), ("line", 14, 3, 7), ("star", 6, 3, 5)],
+)
+def test_homology_runs_once_per_polymer_class(runs, family, n, t, calls):
+    # the relation of a polymer keys its top vector before the collapse and
+    # after it, so each distinct collapsed relation costs one homology run
     G = standard_graph(family, n)
     assert graded_betti_table(G, t).as_dict() == formula_betti_table(family, n, t).table.as_dict()
-    assert len(seen) == calls
+    assert len(runs) == len(set(runs)) == calls
 
 
 def _spider(legs: list[int], first: int, order: list[int]) -> list[list[int]]:
@@ -250,38 +257,40 @@ def _table_product(a: dict, b: dict) -> dict:
     return out
 
 
-def test_iso_memo(monkeypatch):
-    # the top-vector cache of graded_betti_table is shared by isomorphic
-    # polymers, whatever their labels, and never by non-isomorphic ones
-    seen = []
-    top_vector = betti._top_vector
-
-    def counted(*args, **kwargs):
-        # the polymer's vertex mask; bit k is vertex k + 1
-        seen.append(frozenset(k + 1 for k in range(args[0].bit_length()) if args[0] >> k & 1))
-        return top_vector(*args, **kwargs)
-
-    monkeypatch.setattr(betti, "_top_vector", counted)
+def test_iso_memo(runs):
+    # the top-vector cache of graded_betti_table is keyed by relations on
+    # positions, so a relabelled polymer collapses onto a relation met before
     ident = list(range(7))
     shuffled = [0, 5, 2, 6, 1, 4, 3]
     legs222 = _spider([2, 2, 2], 1, ident)
     single = graded_betti_table(graph_from_edges(7, legs222), 3).as_dict()
-    runs = len(seen)
-    assert [len(W) for W in seen].count(7) == 1
+    assert len(runs) == len(set(runs)) == 5
 
     # two labellings of the (2,2,2) spider: no run beyond those of one copy
-    seen.clear()
+    runs.clear()
     twice = graph_from_edges(14, legs222 + _spider([2, 2, 2], 8, shuffled))
     assert graded_betti_table(twice, 3).as_dict() == _table_product(single, single)
-    assert len(seen) == runs
+    assert len(runs) == 5
 
     # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
-    # multiset (3,2,2,2,1,1,1), not isomorphic, so both whole spiders run
+    # multiset (3,2,2,2,1,1,1), not isomorphic; they may share a collapsed
+    # relation, and the product is right either way
     other = graded_betti_table(graph_from_edges(7, _spider([4, 1, 1], 1, ident)), 3).as_dict()
-    seen.clear()
     both = graph_from_edges(14, legs222 + _spider([4, 1, 1], 8, shuffled))
     assert graded_betti_table(both, 3).as_dict() == _table_product(single, other)
-    assert [W for W in seen if len(W) == 7] == [frozenset(range(1, 8)), frozenset(range(8, 15))]
+
+
+def test_multi_cycle_polymer_is_cached(runs):
+    # K_4 minus an edge has two independent cycles; a second copy whose
+    # labels come in the same order has the same relation, so it runs no
+    # homology of its own
+    diamond = [[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]]
+    one = graded_betti_table(graph_from_edges(4, diamond), 2).as_dict()
+    once = len(runs)
+    runs.clear()
+    two = graph_from_edges(8, diamond + [[u + 4, v + 4] for u, v in diamond])
+    assert graded_betti_table(two, 2).as_dict() == _table_product(one, one)
+    assert len(runs) == once
 
 
 def test_memo_table_agrees():
@@ -402,23 +411,27 @@ def test_top_vector_routes_agree():
                     # vertex v is bit v - 1, a generator the mask of its support
                     C = sum(1 << (v - 1) for v in W)
                     inside = [sum(1 << (v - 1) for v in g) for g in J.generators]
-                    X, gens = betti._collapse(C, inside)
-                    assert X & C == X and len(gens) <= len(inside)
-                    checked["collapsed"] += X != C
+                    w, gens = betti._relation(C, inside)
+                    w_cut, cut = betti._collapse(w, gens)
+                    assert w_cut <= w and len(cut) <= len(gens)
+                    checked["collapsed"] += w_cut != w
+                    # Taylor is K′ of the transposed relation
+                    taylor = (len(gens), betti._transpose(w, gens))
+                    taylor_cut = (len(cut), betti._transpose(w_cut, cut))
                     for prime in (2, 32003):
                         want = multigraded_betti(I, W, prime)
-                        assert betti._top_on("taylor", C, inside, prime) == want, (G, t, W, prime)
-                        assert betti._top_on("delta", C, inside, prime) == want, (G, t, W, prime)
-                        assert betti._top_on("dual", C, inside, prime) == want, (G, t, W, prime)
-                        assert betti._top_on("taylor", X, gens, prime) == want, (G, t, W, prime)
-                        assert betti._top_on("dual", X, gens, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("dual", *taylor, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("delta", w, gens, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("dual", w, gens, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("dual", *taylor_cut, prime) == want, (G, t, W, prime)
+                        assert betti._top_on("dual", w_cut, cut, prime) == want, (G, t, W, prime)
                         # a column that misses X makes the dual a full simplex; Δ's
                         # non-faces cannot say so, and _top_vector answers 0 first
-                        if all(gens):
-                            assert betti._top_on("delta", X, gens, prime) == want, (G, t, W, prime)
+                        if all(cut):
+                            assert betti._top_on("delta", w_cut, cut, prime) == want, (G, t, W, prime)
                         else:
-                            assert want == {} and len(gens) == 1, (G, t, W, prime)
-                        assert betti._top_vector(C, inside, prime) == want, (G, t, W, prime)
+                            assert want == {} and len(cut) == 1, (G, t, W, prime)
+                        assert betti._top_vector(w_cut, cut, prime) == want, (G, t, W, prime)
                     checked["nonzero"] += bool(want)
     assert min(checked.values()) >= 100, checked
 
@@ -452,20 +465,21 @@ def test_top_vectors_build_no_simplicial_complex(monkeypatch):
     routes = []
     top_on = betti._top_on
 
-    def recorded(route, *args, **kwargs):
-        routes.append(route)
-        return top_on(route, *args, **kwargs)
+    def recorded(route, w, gens, *args, **kwargs):
+        routes.append((route, w, len(gens)))
+        return top_on(route, w, gens, *args, **kwargs)
 
     monkeypatch.setattr(betti, "_top_on", recorded)
     for family, n, t, route in (("line", 14, 3, "delta"), ("cycle", 10, 9, "dual")):
         routes.clear()
         got = graded_betti_table(standard_graph(family, n), t).as_dict()
         assert got == formula_betti_table(family, n, t).table.as_dict(), (family, n, t)
-        assert route in routes, (family, n, t, routes)
+        assert route in [r for r, _, _ in routes], (family, n, t, routes)
     routes.clear()
     inside = [sum(1 << (v - 1) for v in g) for g in sperner.generators]
-    assert betti._top_vector((1 << 6) - 1, inside) == sperner_want
-    assert routes == ["taylor"]
+    assert betti._top_vector(*betti._collapse(*betti._relation((1 << 6) - 1, inside))) == sperner_want
+    # Taylor: K′ of the transposed relation, whose rows are the 4 generators
+    assert routes == [("dual", 4, 6)]
 
 
 def test_vertex_side_answers_past_taylor_cap():

@@ -304,6 +304,7 @@ def test_largest_family_exits_at_cap(capsys, family):
     rc, out, err = run_cli(capsys, "betti", family, "4096", "--t", "2")
     assert (rc, out) == (EXIT_SIZE, "")
     assert "multidegree" in err
+    assert err.endswith(" (a named family may work via --method formula)\n"), err
 
 
 @pytest.mark.parametrize("family, n, t", [("--cycle", "16", "2"), ("--line", "18", "3")])
@@ -331,6 +332,13 @@ def test_compare_past_face_cap_names_multidegree(capsys):
     # generator, where Δ_W had 2^17 + 1 faces and K^W 2^17 - 1
     rc, out, _ = run_cli(capsys, "compare", "--star", "17", "--t", "2")
     assert (rc, out) == (EXIT_OK, "MATCH (18 entries)\n")
+
+
+def test_compare_star_18_matches(capsys):
+    # 2^18 polymers, each charged |C| before its relation is looked up;
+    # charging the relation's size instead ends this run at the work budget
+    rc, out, _ = run_cli(capsys, "compare", "--star", "18", "--t", "2")
+    assert (rc, out) == (EXIT_OK, "MATCH (19 entries)\n")
 
 
 @pytest.mark.parametrize("n, t", [(100, 2), (100, 3), (100, 4), (100, 5), (57, 2), (83, 3), (41, 4), (64, 5)])
@@ -394,6 +402,8 @@ def test_path_search_exits_at_budget(capsys, tmp_path, command):
     rc, out, err = run_cli(capsys, command, "--edges", str(k16), "--t", "8")
     assert (rc, out) == (EXIT_SIZE, "")
     assert "n=16, t=8: work count" in err and f"exceeds the {WORK_BUDGET} work budget" in err, err
+    # an edges file has no formula route to suggest
+    assert "--method formula" not in err, err
     assert time.perf_counter() - start < 5.0
 
 
@@ -474,7 +484,7 @@ def test_memo_help_on_both_subcommands(capsys):
     for command in ("betti", "compare"):
         rc, out, _ = run_cli(capsys, command, "--help")
         assert rc == EXIT_OK
-        assert "--memo accepted for compatibility, no effect: the isomorphism cache is always on" in " ".join(
+        assert "--memo accepted for compatibility, no effect: the top-vector cache is always on" in " ".join(
             out.split()
         )
 

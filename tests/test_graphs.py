@@ -3,12 +3,10 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations, permutations
-from typing import Optional
 
 import pytest
 
 from pathbetti import Graph, enumerate_t_paths, graph_from_edges, graph_from_json, standard_graph
-from pathbetti.betti import _shape
 from pathbetti.graphs import MAX_VERTICES
 from reference import connected_components, induced_subgraph, line_decomposition
 
@@ -202,74 +200,6 @@ def test_components_within_is_components_of_induced_subgraph():
         W = frozenset(v for v in G.vertices if rng.random() < 0.6)
         G_W = induced_subgraph(G, W)
         assert connected_components(G_W) == _union_find_components(G_W)
-
-
-def _relabel(G: Graph, rng: random.Random) -> Graph:
-    """G under a random bijection onto random integer labels."""
-    labels = rng.sample(range(1, 10 * G.n + 10), G.n)
-    to = dict(zip(G.vertices, labels))
-    edges = sorted((min(to[u], to[v]), max(to[u], to[v])) for u, v in G.edges)
-    return Graph(vertices=tuple(sorted(labels)), edges=tuple(edges))
-
-
-def _relabellings(G: Graph) -> set[tuple[tuple[int, int], ...]]:
-    """Sorted edge lists of G under all n! bijections of its vertex set."""
-    out = set()
-    for perm in permutations(G.vertices):
-        to = dict(zip(G.vertices, perm))
-        out.add(tuple(sorted((min(to[u], to[v]), max(to[u], to[v])) for u, v in G.edges)))
-    return out
-
-
-def _shape_of(G: Graph, ids: dict) -> Optional[tuple]:
-    """The oracle's top-vector key of G, from bit masks as the oracle builds them."""
-    bit = {v: 1 << k for k, v in enumerate(G.vertices)}
-    nbr = dict.fromkeys(bit.values(), 0)
-    for u, v in G.edges:
-        nbr[bit[u]] |= bit[v]
-        nbr[bit[v]] |= bit[u]
-    return _shape(sum(nbr), nbr, ids)
-
-
-def test_canonical_form_is_exact():
-    # every labelled connected graph on 1..6 vertices: trees, unicyclic
-    # graphs and cliques are keyed, and each key holds exactly one
-    # isomorphism class with all of its labellings
-    ids: dict = {}
-    classes = []
-    for n in range(1, 7):
-        pairs = list(combinations(range(1, n + 1), 2))
-        groups: dict[tuple, set] = {}
-        for chosen in range(1 << len(pairs)):
-            G = graph_from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
-            if len(connected_components(G)) > 1:
-                continue
-            m = len(G.edges)
-            key = _shape_of(G, ids)
-            assert (key is not None) == (m <= n or 2 * m == n * (n - 1)), G
-            if key is not None:
-                groups.setdefault(key, set()).add(G.edges)
-        for key, group in groups.items():
-            assert group == _relabellings(graph_from_edges(n, min(group))), key
-        classes.append(len(groups))
-    assert classes == [1, 1, 2, 5, 9, 20]
-
-    # invariance under relabelling on larger trees and unicyclic graphs
-    rng = random.Random(8)
-    for cyclic in (False, True) * 30:
-        n = rng.randint(7, 30)
-        edges = {(rng.randint(1, k - 1), k) for k in range(2, n + 1)}
-        if cyclic:
-            edges.add(rng.choice(sorted(set(combinations(range(1, n + 1), 2)) - edges)))
-        G = graph_from_edges(n, sorted(edges))
-        key = _shape_of(G, ids)
-        assert key is not None and _shape_of(_relabel(G, rng), ids) == key, G
-
-    # spiders with legs (2,2,2) and (4,1,1): same order, size and degree
-    # multiset (3,2,2,2,1,1,1), not isomorphic
-    legs222 = graph_from_edges(7, [[1, 2], [2, 3], [1, 4], [4, 5], [1, 6], [6, 7]])
-    legs411 = graph_from_edges(7, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 6], [1, 7]])
-    assert _shape_of(legs222, ids) != _shape_of(legs411, ids)
 
 
 def test_line_decomposition_basics():
